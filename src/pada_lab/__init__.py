@@ -36,7 +36,7 @@ from .harness import (
     run_loo,
     run_setting,
 )
-from .inference import BeamConfig, GeneratedPrompt, beam_search, diverse_beam_search, predict
+from .inference import BeamConfig, GeneratedPrompt, beam_search, diverse_beam_search
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, init_params, load_checkpoint, loss_and_grads, save_checkpoint
 from .training import TrainConfig, TrainResult, mix_tasks, train
@@ -77,7 +77,6 @@ __all__ = [
     "loss_and_grads",
     "make_loo_settings",
     "mix_tasks",
-    "predict",
     "run_loo",
     "run_setting",
     "save_checkpoint",

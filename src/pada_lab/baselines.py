@@ -60,13 +60,6 @@ def classify_many(
     return np.concatenate(out, axis=0)
 
 
-def classify_text(
-    model_cfg: ModelConfig, params: dict, vocab: Vocabulary, example: Example
-) -> np.ndarray:
-    """Bare-text class probabilities for one example."""
-    return classify_many(model_cfg, params, vocab, [example])[0]
-
-
 def train_classifier_only(
     model_cfg: ModelConfig,
     vocab: Vocabulary,
@@ -132,10 +125,6 @@ def moe_predict_many(
     if len(shapes) != 1:
         raise ValueError(f"experts disagree on output shape: {sorted(shapes)}")
     return np.mean(per_expert, axis=0)
-
-
-def moe_predict(ensemble: ExpertEnsemble, vocab: Vocabulary, example: Example) -> np.ndarray:
-    return moe_predict_many(ensemble, vocab, [example])[0]
 
 
 def name_prompt_ids(vocab: Vocabulary, domain: str) -> tuple[int, ...]:

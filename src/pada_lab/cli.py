@@ -37,14 +37,12 @@ from .harness import (
     metric_for_dataset,
     render_shift_svg,
     run_loo,
-    run_setting,
     save_model_dir,
     train_variant,
     variant_probs,
     write_aggregate_csv,
 )
 from .inference import generate_candidates
-from .metrics import f1_binary, f1_macro  # noqa: F401  (re-export for scripts)
 
 
 class UsageError(Exception):
@@ -53,6 +51,8 @@ class UsageError(Exception):
 
 EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 SYNTH_KEYS = tuple(f.name for f in fields(SyntheticSpec))
+# The feature-extraction settings `drf extract` shares with the pipeline.
+DRF_KEYS = ("rho", "k_drf", "d_emb", "window")
 SCHEMA_KEYS = (
     "text_field", "premise_field", "hypothesis_field", "label_field",
     "domain_field", "id_field", "split_field", "labels", "positive_class",
@@ -69,10 +69,6 @@ _SCHEMA_DEFAULTS = {
     "labels": None,
     "positive_class": None,
 }
-
-
-def _experiment_defaults() -> dict:
-    return asdict(ExperimentConfig())
 
 
 def _parse_scalar(raw: str):
@@ -185,9 +181,7 @@ def _add_keys(parser: argparse.ArgumentParser, defaults: dict, keys, types: dict
 def _key_types(defaults: dict) -> dict:
     types = {}
     for key, value in defaults.items():
-        if isinstance(value, bool):
-            types[key] = lambda s: s.lower() == "true"
-        elif isinstance(value, int):
+        if isinstance(value, int):
             types[key] = int
         elif isinstance(value, float):
             types[key] = float
@@ -204,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     defaults: dict[str, dict] = {}
+    experiment_defaults = asdict(ExperimentConfig())
 
     def command(name, keys_with_defaults, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -228,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--config", default=None)
     extract_defaults = {
         "data": None, "out": None, "domains": None,
-        "rho": 1.5, "k_drf": 50, "d_emb": 32, "window": 3,
+        **{k: experiment_defaults[k] for k in DRF_KEYS},
         **_SCHEMA_DEFAULTS,
     }
     _add_keys(extract, extract_defaults, extract_defaults.keys(), _key_types(
@@ -238,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(
         "train",
-        [_experiment_defaults(), _SCHEMA_DEFAULTS,
+        [experiment_defaults, _SCHEMA_DEFAULTS,
          {"data": None, "out": None, "model": "pada", "target": None, "task_metric": None}],
         help="train one model variant for one held-out target",
     )
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     command(
         "run-loo",
-        [_experiment_defaults(), _SCHEMA_DEFAULTS,
+        [experiment_defaults, _SCHEMA_DEFAULTS,
          {"data": None, "out": None, "models": "pada,noda", "seeds": None,
           "task_metric": None}],
         help="full leave-one-out grid with reports, CSV, and heatmap",

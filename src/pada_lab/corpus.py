@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,20 +157,6 @@ class MultiDomainDataset:
             return list(self.test[domain])
         return list(self.train[domain]) + list(self.dev[domain])
 
-    def restricted_to(self, domains) -> "MultiDomainDataset":
-        keep = [d for d in self.domains if d in set(domains)]
-        return MultiDomainDataset(
-            domains=keep,
-            train={d: list(self.train[d]) for d in keep},
-            dev={d: list(self.dev[d]) for d in keep},
-            test={d: list(self.test[d]) for d in keep},
-            label_set=list(self.label_set),
-            positive_class=self.positive_class,
-        )
-
-    def without_domain(self, domain: str) -> "MultiDomainDataset":
-        return self.restricted_to([d for d in self.domains if d != domain])
-
 
 @dataclass(frozen=True)
 class LeaveOneOutSetting:
@@ -305,13 +291,12 @@ def write_jsonl(dataset: MultiDomainDataset, path) -> None:
                     f.write("\n")
 
 
-def build_vocabulary(dataset: MultiDomainDataset, sources, min_freq: int = 1) -> Vocabulary:
+def build_vocabulary(dataset: MultiDomainDataset, sources) -> Vocabulary:
     """Vocabulary over source-domain training text only.
 
     Ids are deterministic: specials first, then tokens by descending
     frequency with lexicographic tie-break, then any source domain-name
-    tokens not already present (sorted). Tokens below min_freq are
-    dropped and map to UNK downstream.
+    tokens not already present (sorted).
     """
     sources = list(sources)
     for s in sources:
@@ -323,7 +308,7 @@ def build_vocabulary(dataset: MultiDomainDataset, sources, min_freq: int = 1) ->
     if not counts:
         raise ValueError("no source training text to build a vocabulary from")
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS),
+        (t for t in counts if t not in SPECIAL_TOKENS),
         key=lambda t: (-counts[t], t),
     )
     extra = sorted(

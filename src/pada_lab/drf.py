@@ -9,6 +9,7 @@ example with the nearest features of its domain to form prompts.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -204,13 +205,6 @@ class EmbeddingTable:
             for token, vec in self.vectors.items():
                 f.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
-    @classmethod
-    def from_model_params(cls, params: dict[str, np.ndarray], vocab: Vocabulary) -> "EmbeddingTable":
-        """Use a trained model's embedding matrix as the metric space."""
-        emb = np.asarray(params["embed"], dtype=np.float64)
-        vectors = {t: emb[i].copy() for i, t in enumerate(vocab.id_to_token)}
-        return cls(dim=emb.shape[1], vectors=vectors)
-
 
 def _deterministic_sign(u: np.ndarray) -> np.ndarray:
     # fix each left singular vector's sign by its largest-magnitude entry
@@ -228,16 +222,12 @@ def build_embeddings(
     vocab: Vocabulary,
     d_emb: int = 32,
     window: int = 3,
-    seed: int = 0,
 ) -> EmbeddingTable:
     """PPMI co-occurrence over a symmetric window, factored by truncated
     SVD. Built from source training text only; every vocabulary token
-    (UNK included) gets a finite vector.
-
-    The dense factorization is already deterministic; the seed is part
-    of the surface for approximate solvers.
+    (UNK included) gets a finite vector; the dense factorization is
+    deterministic.
     """
-    del seed
     if d_emb < 1:
         raise ValueError("d_emb must be >= 1")
     if window < 1:
@@ -291,12 +281,14 @@ def annotate_prompt(
     tokens = tokenize(example.text)
     if not tokens:
         raise ValueError(f"example {example.id!r} has no tokens")
-    token_vecs = [emb.lookup(t) for t in dict.fromkeys(tokens)]
+    token_vecs = np.array([emb.lookup(t) for t in dict.fromkeys(tokens)])
 
     scored = []
     for rank, entry in enumerate(profile.drfs):
-        r_vec = emb.lookup(entry.token)
-        dist = min(float(np.linalg.norm(r_vec - v)) for v in token_vecs)
+        # sqrt(d . d) per row is exactly np.linalg.norm; sqrt is monotone,
+        # so it is taken once, of the smallest square
+        diffs = emb.lookup(entry.token) - token_vecs
+        dist = math.sqrt(min(float(d.dot(d)) for d in diffs))
         scored.append((dist, rank, entry.token))
     scored.sort()
     keep = scored[: min(m, len(scored))]

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -52,8 +50,8 @@ from .drf import (
 )
 from .inference import BeamConfig, GeneratedPrompt, generate_prompt
 from .metrics import f1_binary, f1_macro
-from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .training import TrainConfig, TrainResult, train
+from .model import ModelConfig, config_from_dict, load_checkpoint, save_checkpoint
+from .training import TrainConfig, train
 
 MODEL_NAMES = ("pada", "pada-nc", "pada-dn", "noda", "moe", "ub")
 
@@ -648,15 +646,6 @@ def render_shift_svg(
     return "\n".join(parts) + "\n"
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PADA_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PADA_LAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 def run_loo(
     dataset: MultiDomainDataset,
     models: Sequence[str],
@@ -687,16 +676,14 @@ def run_loo(
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
 
     ub_art = build_artifacts(dataset, dataset.domains, cfg) if "ub" in models else None
-    # Cross-setting cache: the upper bound trains once per seed. Cells
-    # are pure functions of (dataset, config, seed), so a concurrent
-    # duplicate computation is wasteful but cannot change results.
-    shared_cache: dict = {}
-
-    def run_one_setting(setting: LeaveOneOutSetting):
+    # The upper bound trains once per seed and serves every setting; the
+    # mixture model that pada and pada-nc share is dropped as soon as
+    # its (setting, seed) is done.
+    cache: dict = {}
+    per_cell_reports: dict[tuple[str, str], list[ExperimentReport]] = {}
+    for setting in settings:
         source_art = build_artifacts(dataset, setting.sources, cfg)
-        out = {}
         for seed in seeds:
-            cache: dict = dict(shared_cache)
             for model in models:
                 art = ub_art if model == "ub" else source_art
                 report = run_setting(
@@ -704,21 +691,8 @@ def run_loo(
                     seed=seed, metric=metric, artifacts=art, cache=cache,
                     config_hash=config_hash,
                 )
-                out.setdefault((model, setting.target), []).append(report)
-            shared_cache.update(
-                (k, v) for k, v in cache.items() if k[0] == "ub"
-            )
-        return out
-
-    per_cell_reports: dict[tuple[str, str], list[ExperimentReport]] = {}
-    threads = _thread_cap()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(run_one_setting, settings):
-                per_cell_reports.update(chunk)
-    else:
-        for setting in settings:
-            per_cell_reports.update(run_one_setting(setting))
+                per_cell_reports.setdefault((model, setting.target), []).append(report)
+            cache.pop(("mixture", setting.target, seed), None)
 
     targets = [s.target for s in settings]
     flat = [reports[0] for reports in per_cell_reports.values()]
@@ -837,7 +811,7 @@ def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:
         raise FileNotFoundError(f"no manifest.json under {model_dir}")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    cfg = ExperimentConfig(**manifest["config"])
+    cfg = config_from_dict(ExperimentConfig, manifest.get("config"), f"{manifest_path}: config")
     vocab = load_vocab(model_dir / "vocab.json")
     model = manifest["model"]
     params = None

@@ -1,10 +1,12 @@
-"""Two-step inference: generate a domain prompt, then classify with it.
+"""Prompt generation for two-step inference.
 
 Prompt decoding runs a synchronous beam search; the diverse variant
 splits the beam into groups and penalizes each group for repeating
 tokens that earlier groups emitted at the same step. Plain beam search
 is the one-group, zero-penalty case of the same engine. Final candidate
 ranking always uses the raw (unpenalized) cumulative log-probability.
+The second step, classifying prompt + SEP + text, is
+`harness.pada_predict_many`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, SEP, DOMAIN_PREFIX, UNK, Example, Vocabulary, tokenize
-from .model import ModelConfig, classify, decode_step, encode, pad_batch
-from .training import build_disc_input
+from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary, tokenize
+from .model import ModelConfig, _f64, decode_step, encode, pad_batch
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class BeamConfig:
     num_groups: int = 5
     diversity_penalty: float = 1.5
     max_len: int | None = None
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.num_candidates < 1 or self.beam_size < 1 or self.num_groups < 1:
@@ -60,25 +60,29 @@ def _step_logp(cfg, params, enc_states, enc_mask, hyps: Sequence[Hypothesis]) ->
 def _extend(hyps, logp, penalties, width) -> list[Hypothesis]:
     """Top `width` one-token extensions by penalized score. Ties break
     toward the lexicographically smaller id sequence."""
+    base = np.array([h.penalized_score for h in hyps])
+    scores = (base[:, None] + (logp - penalties)).ravel()
+    # Only candidates scoring at least the width-th best can be kept,
+    # so just those become hypotheses (ties at the cut included).
+    if scores.size > width:
+        cut = np.partition(scores, scores.size - width)[scores.size - width]
+        picked = np.flatnonzero(scores >= cut)
+    else:
+        picked = range(scores.size)
+    n_tok = logp.shape[1]
     pool = []
-    for row, h in enumerate(hyps):
-        pen_row = logp[row] - penalties
-        for tok in range(logp.shape[1]):
-            pool.append(
-                Hypothesis(
-                    ids=h.ids + (tok,),
-                    raw_score=h.raw_score + float(logp[row, tok]),
-                    penalized_score=h.penalized_score + float(pen_row[tok]),
-                )
+    for i in picked:
+        row, tok = divmod(int(i), n_tok)
+        h = hyps[row]
+        pool.append(
+            Hypothesis(
+                ids=h.ids + (tok,),
+                raw_score=h.raw_score + float(logp[row, tok]),
+                penalized_score=float(scores[i]),
             )
+        )
     pool.sort(key=lambda h: (-h.penalized_score, h.ids))
     return pool[:width]
-
-
-def _rank_key(cfg: BeamConfig):
-    if cfg.length_normalize:
-        return lambda h: (-h.raw_score / len(h.ids), h.ids)
-    return lambda h: (-h.raw_score, h.ids)
 
 
 def diverse_beam_search(
@@ -98,6 +102,7 @@ def diverse_beam_search(
     """
     if enc_states.shape[0] != 1:
         raise ValueError("decode one input at a time")
+    params = _f64(params)  # once here, not in every decode_step
     max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
     group_width = cfg.beam_size // cfg.num_groups
     vocab_size = model_cfg.vocab_size
@@ -132,7 +137,7 @@ def diverse_beam_search(
         if not any_active:
             break
 
-    finished.sort(key=_rank_key(cfg))
+    finished.sort(key=lambda h: (-h.raw_score, h.ids))
     if not finished:
         raise RuntimeError("no finished hypotheses")
     return finished[: cfg.num_candidates]
@@ -158,7 +163,7 @@ def beam_search(
     return diverse_beam_search(model_cfg, params, enc_states, enc_mask, cfg)
 
 
-# --- prompt generation and prediction ---------------------------------------
+# --- prompt generation ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -228,41 +233,3 @@ def generate_prompt(
 ) -> GeneratedPrompt:
     """Best decoded prompt for one example."""
     return generate_candidates(model_cfg, params, vocab, example, beam_cfg)[0]
-
-
-@dataclass(frozen=True)
-class PredictResult:
-    probs: np.ndarray  # [n_classes]
-    prompt: GeneratedPrompt
-
-    def top_class(self) -> int:
-        return int(np.argmax(self.probs))
-
-
-def classify_with_prompt(
-    model_cfg: ModelConfig,
-    params: dict,
-    vocab: Vocabulary,
-    example: Example,
-    prompt_ids: Sequence[int],
-) -> np.ndarray:
-    text_ids = vocab.encode_tokens(tokenize(example.text))
-    if not text_ids:
-        raise ValueError(f"example {example.id!r} has no tokens")
-    ids, mask = pad_batch([build_disc_input(prompt_ids, text_ids, model_cfg.max_input_len)])
-    states = encode(model_cfg, params, ids, mask)
-    logp = classify(model_cfg, params, states, mask)
-    return np.exp(logp[0])
-
-
-def predict(
-    model_cfg: ModelConfig,
-    params: dict,
-    vocab: Vocabulary,
-    example: Example,
-    beam_cfg: BeamConfig | None = None,
-) -> PredictResult:
-    """Generate the prompt, then classify prompt + SEP + text."""
-    prompt = generate_prompt(model_cfg, params, vocab, example, beam_cfg)
-    probs = classify_with_prompt(model_cfg, params, vocab, example, prompt.prompt_ids)
-    return PredictResult(probs=probs, prompt=prompt)

@@ -61,15 +61,3 @@ def f1_macro(y_true: Sequence[str], y_pred: Sequence[str], label_set: Sequence[s
         per_class.append(_f1_from_counts(tp, fp, fn))
     return sum(per_class) / len(per_class)
 
-
-def score_predictions(
-    y_true: Sequence[str],
-    y_pred: Sequence[str],
-    label_set: Sequence[str],
-    positive_class: str | None,
-) -> float:
-    """The dataset's headline metric: binary F1 of the positive class
-    for two-label sets that declare one, macro F1 otherwise."""
-    if len(label_set) == 2 and positive_class is not None:
-        return f1_binary(y_true, y_pred, positive_class, label_set=label_set)
-    return f1_macro(y_true, y_pred, label_set)

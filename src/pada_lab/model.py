@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,8 +39,6 @@ class ModelConfig:
     max_output_len: int = 40
     conv_filters: int = 32
     conv_width: int = 9
-    dropout: float = 0.0
-    use_positional: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +50,6 @@ class ModelConfig:
             raise ValueError("vocab_size must cover the special tokens")
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
         if self.max_input_len < 1 or self.max_output_len < 1:
             raise ValueError("sequence length caps must be positive")
 
@@ -153,9 +149,13 @@ _LN_EPS = 1e-5
 
 
 def _ln_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    # add.reduce / n is exactly ndarray.mean without its Python wrapper,
+    # which costs more than the math at decoding sizes; _attn_fwd calls
+    # the ufunc reductions directly for the same reason
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
@@ -189,6 +189,13 @@ def _merge_heads(x):
 _MASK_NEG = -1e9
 
 
+@lru_cache(maxsize=64)
+def _causal_mask(tq: int, tk: int) -> np.ndarray:
+    m = np.triu(np.ones((tq, tk)), k=1)[None, None] * _MASK_NEG
+    m.setflags(write=False)
+    return m
+
+
 def _attn_fwd(q_in, kv_in, wq, wk, wv, wo, n_heads, key_mask, causal):
     # q_in [B,Tq,D], kv_in [B,Tk,D], key_mask [B,Tk] with 1 = attend
     dh = q_in.shape[-1] // n_heads
@@ -199,10 +206,10 @@ def _attn_fwd(q_in, kv_in, wq, wk, wv, wo, n_heads, key_mask, causal):
     scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
     scores = scores + (1.0 - key_mask)[:, None, None, :] * _MASK_NEG
     if causal:
-        scores = scores + np.triu(np.ones((tq, tk)), k=1)[None, None] * _MASK_NEG
-    scores = scores - scores.max(axis=-1, keepdims=True)
+        scores = scores + _causal_mask(tq, tk)
+    scores = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
     merged = _merge_heads(attn @ v)
     out = merged @ wo
     return out, (q_in, kv_in, q, k, v, attn, merged, wq, wk, wv, wo, n_heads)
@@ -250,17 +257,6 @@ def _ffn_bwd(dout, cache):
     return dx, dw1, db1, dw2, db2
 
 
-def _drop_fwd(x, p, rng):
-    if p <= 0.0 or rng is None:
-        return x, None
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * keep, keep
-
-
-def _drop_bwd(dout, keep):
-    return dout if keep is None else dout * keep
-
-
 def _acc(grads: dict, name: str, val: np.ndarray) -> None:
     if name in grads:
         grads[name] = grads[name] + val
@@ -284,13 +280,10 @@ def _check_ids(cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray, limit: int, 
 
 
 def _embed_fwd(cfg, P, ids):
-    x = P["embed"][ids] * math.sqrt(cfg.d_model)
-    if cfg.use_positional:
-        x = x + _pos_table(ids.shape[1], cfg.d_model)
-    return x
+    return P["embed"][ids] * math.sqrt(cfg.d_model) + _pos_table(ids.shape[1], cfg.d_model)
 
 
-def _encoder_fwd(cfg, P, ids, mask, rng=None):
+def _encoder_fwd(cfg, P, ids, mask):
     x = _embed_fwd(cfg, P, ids)
     layer_caches = []
     for i in range(cfg.n_layers):
@@ -300,13 +293,11 @@ def _encoder_fwd(cfg, P, ids, mask, rng=None):
             h, h, P[pre + "attn.wq"], P[pre + "attn.wk"], P[pre + "attn.wv"],
             P[pre + "attn.wo"], cfg.n_heads, mask, causal=False,
         )
-        a, da_keep = _drop_fwd(a, cfg.dropout, rng)
         x = x + a
         h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
-        f, df_keep = _drop_fwd(f, cfg.dropout, rng)
         x = x + f
-        layer_caches.append((c1, ca, da_keep, c2, cf, df_keep))
+        layer_caches.append((c1, ca, c2, cf))
     out, clf = _ln_fwd(x, P["enc.lnf.g"], P["enc.lnf.b"])
     return out, (ids, layer_caches, clf)
 
@@ -318,9 +309,8 @@ def _encoder_bwd(cfg, dout, cache, grads):
     _acc(grads, "enc.lnf.b", db)
     for i in reversed(range(cfg.n_layers)):
         pre = f"enc{i}."
-        c1, ca, da_keep, c2, cf, df_keep = layer_caches[i]
-        df = _drop_bwd(dx, df_keep)
-        dh, dw1, db1, dw2, db2 = _ffn_bwd(df, cf)
+        c1, ca, c2, cf = layer_caches[i]
+        dh, dw1, db1, dw2, db2 = _ffn_bwd(dx, cf)
         _acc(grads, pre + "ffn.w1", dw1)
         _acc(grads, pre + "ffn.b1", db1)
         _acc(grads, pre + "ffn.w2", dw2)
@@ -329,8 +319,7 @@ def _encoder_bwd(cfg, dout, cache, grads):
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
         dx = dx + dxm
-        da = _drop_bwd(dx, da_keep)
-        dq_in, dkv_in, dwq, dwk, dwv, dwo = _attn_bwd(da, ca)
+        dq_in, dkv_in, dwq, dwk, dwv, dwo = _attn_bwd(dx, ca)
         _acc(grads, pre + "attn.wq", dwq)
         _acc(grads, pre + "attn.wk", dwk)
         _acc(grads, pre + "attn.wv", dwv)
@@ -344,7 +333,7 @@ def _encoder_bwd(cfg, dout, cache, grads):
     np.add.at(grads["embed"], ids, dx * math.sqrt(cfg.d_model))
 
 
-def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask, rng=None):
+def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask):
     x = _embed_fwd(cfg, P, ids)
     layer_caches = []
     for i in range(cfg.n_layers):
@@ -354,20 +343,17 @@ def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask, rng=None):
             h, h, P[pre + "self.wq"], P[pre + "self.wk"], P[pre + "self.wv"],
             P[pre + "self.wo"], cfg.n_heads, mask, causal=True,
         )
-        a, ds_keep = _drop_fwd(a, cfg.dropout, rng)
         x = x + a
         h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         a2, cc = _attn_fwd(
             h, enc_states, P[pre + "cross.wq"], P[pre + "cross.wk"], P[pre + "cross.wv"],
             P[pre + "cross.wo"], cfg.n_heads, enc_mask, causal=False,
         )
-        a2, dc_keep = _drop_fwd(a2, cfg.dropout, rng)
         x = x + a2
         h, c3 = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
         f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
-        f, df_keep = _drop_fwd(f, cfg.dropout, rng)
         x = x + f
-        layer_caches.append((c1, cs, ds_keep, c2, cc, dc_keep, c3, cf, df_keep))
+        layer_caches.append((c1, cs, c2, cc, c3, cf))
     out, clf = _ln_fwd(x, P["dec.lnf.g"], P["dec.lnf.b"])
     return out, (ids, layer_caches, clf)
 
@@ -381,9 +367,8 @@ def _decoder_bwd(cfg, dout, cache, grads):
     denc = None
     for i in reversed(range(cfg.n_layers)):
         pre = f"dec{i}."
-        c1, cs, ds_keep, c2, cc, dc_keep, c3, cf, df_keep = layer_caches[i]
-        df = _drop_bwd(dx, df_keep)
-        dh, dw1, db1, dw2, db2 = _ffn_bwd(df, cf)
+        c1, cs, c2, cc, c3, cf = layer_caches[i]
+        dh, dw1, db1, dw2, db2 = _ffn_bwd(dx, cf)
         _acc(grads, pre + "ffn.w1", dw1)
         _acc(grads, pre + "ffn.b1", db1)
         _acc(grads, pre + "ffn.w2", dw2)
@@ -392,8 +377,7 @@ def _decoder_bwd(cfg, dout, cache, grads):
         _acc(grads, pre + "ln3.g", dg3)
         _acc(grads, pre + "ln3.b", db3)
         dx = dx + dxm
-        da2 = _drop_bwd(dx, dc_keep)
-        dq_in, dkv_enc, dwq, dwk, dwv, dwo = _attn_bwd(da2, cc)
+        dq_in, dkv_enc, dwq, dwk, dwv, dwo = _attn_bwd(dx, cc)
         for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
             _acc(grads, pre + "cross." + nm, g)
         denc = dkv_enc if denc is None else denc + dkv_enc
@@ -401,8 +385,7 @@ def _decoder_bwd(cfg, dout, cache, grads):
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
         dx = dx + dh2
-        da = _drop_bwd(dx, ds_keep)
-        dq_s, dkv_s, dwq, dwk, dwv, dwo = _attn_bwd(da, cs)
+        dq_s, dkv_s, dwq, dwk, dwv, dwo = _attn_bwd(dx, cs)
         for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
             _acc(grads, pre + "self." + nm, g)
         dh1, dg1, db1n = _ln_bwd(dq_s + dkv_s, c1)
@@ -523,13 +506,13 @@ def decode_step(cfg: ModelConfig, params: dict, enc_states, enc_mask, prefixes) 
     return logits - _logsumexp(logits)
 
 
-def _forward(cfg: ModelConfig, P: dict, batch, rng=None) -> ForwardTrace:
+def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
     task = batch[0].task
     if any(inst.task != task for inst in batch):
         raise ValueError("batch mixes generative and discriminative instances")
     ids, mask = pad_batch([inst.input_ids for inst in batch])
     _check_ids(cfg, ids, mask, cfg.max_input_len, "input")
-    enc_states, enc_cache = _encoder_fwd(cfg, P, ids, mask, rng)
+    enc_states, enc_cache = _encoder_fwd(cfg, P, ids, mask)
 
     if task == "disc":
         targets = np.asarray([inst.target_class for inst in batch], dtype=np.int64)
@@ -548,7 +531,7 @@ def _forward(cfg: ModelConfig, P: dict, batch, rng=None) -> ForwardTrace:
         [np.full((target.shape[0], 1), BOS, dtype=np.int64), target[:, :-1]], axis=1
     )
     dec_mask = (dec_in != PAD).astype(np.float64)
-    dec_states, dec_cache = _decoder_fwd(cfg, P, dec_in, dec_mask, enc_states, mask, rng)
+    dec_states, dec_cache = _decoder_fwd(cfg, P, dec_in, dec_mask, enc_states, mask)
     logits = dec_states @ P["embed"].T
     logp = logits - _logsumexp(logits)
     n_tok = tmask.sum()
@@ -588,7 +571,7 @@ def _backward(cfg: ModelConfig, P: dict, trace: ForwardTrace) -> dict[str, np.nd
     return grads
 
 
-def loss_and_grads(cfg: ModelConfig, params: dict, batch, rng=None):
+def loss_and_grads(cfg: ModelConfig, params: dict, batch):
     """Mean loss over one task-homogeneous batch plus exact gradients
     for every parameter tensor (zeros for tensors the task never touches).
 
@@ -598,7 +581,7 @@ def loss_and_grads(cfg: ModelConfig, params: dict, batch, rng=None):
     if not batch:
         raise ValueError("empty batch")
     P = _f64(params)
-    trace = _forward(cfg, P, batch, rng)
+    trace = _forward(cfg, P, batch)
     grads = _backward(cfg, P, trace)
     return trace.loss, grads
 
@@ -625,21 +608,49 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, np.ndarray]) -> No
             f.write(data.tobytes(order="C"))
 
 
+def config_from_dict(cls, values, where: str):
+    """cls(**values), reporting a non-object, an unknown key or a
+    missing key as a ValueError that names `where`."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    try:
+        return cls(**values)
+    except TypeError as e:  # a required key is missing
+        raise ValueError(f"{where}: {e}") from e
+
+
+def _read_exact(f, n: int, path, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated {what} (expected {n} bytes, got {len(data)})")
+    return data
+
+
 def load_checkpoint(path):
+    """Inverse of save_checkpoint. A malformed file raises ValueError
+    naming the path: bad magic, unknown config keys, truncation, or
+    bytes after the last tensor."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a model checkpoint (bad magic): {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        cfg = ModelConfig(**json.loads(f.read(hlen).decode("utf-8")))
-        (count,) = struct.unpack("<I", f.read(4))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
+        header = json.loads(_read_exact(f, hlen, path, "header").decode("utf-8"))
+        cfg = config_from_dict(ModelConfig, header, f"{path}: checkpoint header")
+        (count,) = struct.unpack("<I", _read_exact(f, 4, path, "tensor count"))
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (nlen,) = struct.unpack("<H", _read_exact(f, 2, path, "tensor name length"))
+            name = _read_exact(f, nlen, path, "tensor name").decode("utf-8")
+            what = f"tensor {name!r}"
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, what))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, what))
             n_items = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(f.read(4 * n_items), dtype="<f4").reshape(shape)
-            params[name] = arr.astype(np.float32).copy()
+            data = _read_exact(f, 4 * n_items, path, what)
+            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
     return cfg, params

@@ -28,9 +28,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 5e-5
     warmup_ratio: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 2
     seed: int = 0
 
@@ -197,6 +194,10 @@ def task_batches(instances: Sequence[TaskInstance], batch_size: int) -> list[lis
 
 # --- optimizer --------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -232,8 +233,8 @@ def adam_step(
     """
     lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
     new_params: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - cfg.beta1**step
-    bc2 = 1.0 - cfg.beta2**step
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.isfinite(g).all():
@@ -243,11 +244,11 @@ def adam_step(
         if m is None:
             m = np.zeros_like(g)
             v = np.zeros_like(g)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         new_params[name] = (p.astype(np.float64, copy=False) - update).astype(p.dtype)
     return new_params, state
 
@@ -294,7 +295,6 @@ def train(
     plan = [task_batches(instances, train_cfg.batch_size) for instances in epochs]
     total_steps = sum(len(b) for b in plan)
     warmup_steps = int(round(train_cfg.warmup_ratio * total_steps))
-    drop_rng = np.random.default_rng(rng.integers(2**63)) if model_cfg.dropout > 0 else None
 
     params = init_params(model_cfg)
     state = AdamState()
@@ -311,7 +311,7 @@ def train(
         counts = {"gen": 0, "disc": 0}
         lr = 0.0
         for batch in batches:
-            loss, grads = loss_and_grads(model_cfg, params, batch, rng=drop_rng)
+            loss, grads = loss_and_grads(model_cfg, params, batch)
             step += 1
             lr = lr_at(step, total_steps, warmup_steps, train_cfg.lr)
             params, state = adam_step(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from pada_lab.corpus import Example, MultiDomainDataset
+from pada_lab.model import CHECKPOINT_MAGIC
 
 
 def make_dataset(
@@ -34,6 +38,18 @@ def make_dataset(
         label_set=list(label_set),
         positive_class=positive_class,
     )
+
+
+def edit_checkpoint_header(path, edit) -> None:
+    """Rewrite a saved checkpoint's JSON config header in place with
+    `edit(header_dict)`, keeping every tensor byte as it was."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", raw[start : start + 4])
+    header = json.loads(raw[start + 4 : start + 4 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:start] + struct.pack("<I", len(new)) + new + raw[start + 4 + hlen :])
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -11,6 +12,9 @@ from pada_lab.cli import (
     merge_config,
     read_config_file,
 )
+from pada_lab.corpus import ingest_jsonl
+from pada_lab.harness import ExperimentConfig, build_artifacts
+from tests.conftest import edit_checkpoint_header
 
 TINY_MODEL_FLAGS = [
     "--d-model", "8", "--n-layers", "1", "--n-heads", "2", "--d-ffn", "8",
@@ -171,6 +175,22 @@ class TestDrfExtract:
         assert (out / "embeddings.txt").exists()
         assert "config hash:" in capsys.readouterr().out
 
+    def test_defaults_match_the_pipeline(self, data_path, tmp_path):
+        # With no flags, the profiles are the ones `train` builds and saves.
+        out = tmp_path / "drfs"
+        assert main(["drf", "extract", "--data", str(data_path), "--out", str(out)]) == 0
+        dataset = ingest_jsonl(data_path)
+        cfg = ExperimentConfig()
+        art = build_artifacts(dataset, dataset.domains, cfg)
+        for d, profile in art.profiles.items():
+            body = json.loads((out / f"{d}.json").read_text())
+            assert body["rho"] == cfg.rho
+            assert body["drfs"] == [
+                {"token": r.token, "mi": r.mi, "ratio": r.ratio} for r in profile.drfs
+            ]
+        art.embeddings.write_text(tmp_path / "want.txt")
+        assert (out / "embeddings.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def noda_dir(data_path, tmp_path_factory):
@@ -251,6 +271,33 @@ class TestTrainPredictRoundTrip:
                      "--data", str(data), "--out", str(out)]) == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == ["r1", "r2"]
+
+    @pytest.mark.parametrize("damage,named", [
+        ("config key", "manifest.json"),
+        ("header key", "checkpoint.bin"),
+        ("truncated", "checkpoint.bin"),
+        ("trailing", "checkpoint.bin"),
+    ])
+    def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
+                                           damage, named):
+        model = tmp_path / "model"
+        shutil.copytree(noda_dir, model)
+        ckpt = model / "checkpoint.bin"
+        if damage == "config key":
+            manifest = json.loads((model / "manifest.json").read_text())
+            manifest["config"]["threads"] = 2
+            (model / "manifest.json").write_text(json.dumps(manifest))
+        elif damage == "header key":
+            edit_checkpoint_header(ckpt, lambda h: h.update(label_smoothing=0.0))
+        elif damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        else:
+            ckpt.write_bytes(ckpt.read_bytes() + b"extra")
+        rc = main(["predict", "--model-dir", str(model), "--data", str(data_path),
+                   "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_predict_pair_input_joined(self, noda_dir, tmp_path):
         data = tmp_path / "pairs.jsonl"

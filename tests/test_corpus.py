@@ -93,11 +93,6 @@ class TestBuildVocabulary:
         assert "canopy" not in v.token_to_id  # forests text excluded
         assert "rivers" in v.token_to_id  # name appended even if absent from text
 
-    def test_min_freq_prunes(self, two_domain_dataset):
-        v = build_vocabulary(two_domain_dataset, ["rivers"], min_freq=2)
-        assert "delta" in v.token_to_id
-        assert "erosion" not in v.token_to_id
-
 
 class TestDatasetValidation:
     def test_duplicate_domain_rejected(self):
@@ -136,11 +131,6 @@ class TestDatasetValidation:
     def test_target_test_examples_falls_back_to_all_splits(self, two_domain_dataset):
         got = two_domain_dataset.target_test_examples("forests")
         assert len(got) == 3  # 2 train + 1 dev, no test split
-
-    def test_without_domain_drops_it(self, two_domain_dataset):
-        smaller = two_domain_dataset.without_domain("forests")
-        assert smaller.domains == ["rivers"]
-        assert "forests" not in smaller.train
 
 
 class TestLeaveOneOutSettings:

@@ -257,13 +257,6 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="vocab"):
             build_embeddings(ds, ["d"], vocab, d_emb=4)
 
-    def test_from_model_params_uses_embed_rows(self):
-        vocab = Vocabulary.from_tokens(["alpha", "beta"])
-        embed = np.arange(8 * 3, dtype=np.float64).reshape(8, 3)
-        table = EmbeddingTable.from_model_params({"embed": embed}, vocab)
-        assert table.dim == 3
-        assert np.array_equal(table.vectors["alpha"], embed[6])
-
 
 def profile_of(tokens_mi):
     return DomainProfile(

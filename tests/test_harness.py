@@ -13,7 +13,6 @@ from pada_lab.harness import (
     MetricSpec,
     TrainedVariant,
     _pooled_dev,
-    _thread_cap,
     build_artifacts,
     grid_search_alpha,
     load_model_dir,
@@ -22,6 +21,7 @@ from pada_lab.harness import (
     render_shift_svg,
     run_loo,
     run_setting,
+    save_model_dir,
     shift_matrix,
     train_variant,
     write_aggregate_csv,
@@ -269,25 +269,6 @@ class TestShiftSvg:
         )
 
 
-class TestThreadCap:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("PADA_LAB_THREADS", raising=False)
-        assert _thread_cap() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PADA_LAB_THREADS", "4")
-        assert _thread_cap() == 4
-
-    def test_floor_at_one(self, monkeypatch):
-        monkeypatch.setenv("PADA_LAB_THREADS", "0")
-        assert _thread_cap() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("PADA_LAB_THREADS", "many")
-        with pytest.raises(ValueError, match="PADA_LAB_THREADS"):
-            _thread_cap()
-
-
 class TestRunSetting:
     def setting(self, ds, target="rivers"):
         sources = tuple(d for d in ds.domains if d != target)
@@ -417,8 +398,6 @@ class TestModelDirs:
     def test_round_trip_single_checkpoint(self, tmp_path):
         ds = small_dataset()
         trained, cfg, art = self.trained(ds)
-        from pada_lab.harness import save_model_dir
-
         save_model_dir(tmp_path, trained, cfg, artifacts=art)
         assert (tmp_path / "checkpoint.bin").exists()
         assert (tmp_path / "profiles" / "forests.json").exists()
@@ -437,8 +416,6 @@ class TestModelDirs:
     def test_round_trip_expert_ensemble(self, tmp_path):
         ds = small_dataset()
         trained, cfg, _ = self.trained(ds, model="moe")
-        from pada_lab.harness import save_model_dir
-
         save_model_dir(tmp_path, trained, cfg)
         assert (tmp_path / "experts" / "forests.bin").exists()
         assert (tmp_path / "experts" / "plains.bin").exists()
@@ -448,6 +425,17 @@ class TestModelDirs:
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
+            load_model_dir(tmp_path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        ds = small_dataset()
+        trained, cfg, _ = self.trained(ds)
+        save_model_dir(tmp_path, trained, cfg)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["threads"] = 2
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: config: unknown key 'threads'"):
             load_model_dir(tmp_path)
 
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from pada_lab.baselines import classify_many
 from pada_lab.corpus import EOS, UNK, Example, Vocabulary
+from pada_lab.harness import pada_predict_many
 from pada_lab.inference import (
     BeamConfig,
     GeneratedPrompt,
     Hypothesis,
+    _extend,
     beam_search,
-    classify_with_prompt,
     diverse_beam_search,
     generate_candidates,
     generate_prompt,
-    predict,
 )
 from pada_lab.model import ModelConfig, decode_step, encode, init_params, pad_batch
 from tests.oracles import beam_exhaustive
@@ -54,6 +55,48 @@ class TestHypothesis:
         assert Hypothesis(ids=(7, EOS), raw_score=0.0, penalized_score=0.0).finished
         assert not Hypothesis(ids=(7,), raw_score=0.0, penalized_score=0.0).finished
         assert not Hypothesis(ids=(), raw_score=0.0, penalized_score=0.0).finished
+
+
+def extend_full_pool(hyps, logp, penalties, width):
+    """Every one-token extension, sorted by (-penalized, ids)."""
+    pool = [
+        Hypothesis(
+            ids=h.ids + (tok,),
+            raw_score=h.raw_score + float(logp[row, tok]),
+            penalized_score=h.penalized_score + float(logp[row, tok] - penalties[tok]),
+        )
+        for row, h in enumerate(hyps)
+        for tok in range(logp.shape[1])
+    ]
+    pool.sort(key=lambda h: (-h.penalized_score, h.ids))
+    return pool[:width]
+
+
+class TestExtend:
+    def test_tie_goes_to_smaller_ids(self):
+        hyps = [Hypothesis(ids=(3,), raw_score=0.0, penalized_score=0.0),
+                Hypothesis(ids=(1,), raw_score=0.0, penalized_score=0.0)]
+        logp = np.zeros((2, 4))
+        got = _extend(hyps, logp, np.zeros(4), 3)
+        assert [h.ids for h in got] == [(1, 0), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_full_pool(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n_rows, vocab, width = (int(x) for x in rng.integers(1, [4, 10, 6]))
+            hyps = [
+                Hypothesis(ids=(r,), raw_score=float(rng.normal()),
+                           penalized_score=float(np.round(rng.normal(), 1)))
+                for r in range(n_rows)
+            ]
+            # coarse values force ties; a forced-EOS step leaves one finite column
+            logp = np.round(rng.normal(size=(n_rows, vocab)), 1)
+            if rng.random() < 0.3:
+                logp[:, 1:] = -np.inf
+            penalties = 1.5 * rng.integers(0, 3, size=vocab)
+            want = extend_full_pool(hyps, logp, penalties, width)
+            assert _extend(hyps, logp, penalties, width) == want
 
 
 class TestBeamAgainstExhaustive:
@@ -153,18 +196,6 @@ class TestDiverseBeam:
         with pytest.raises(ValueError, match="one input"):
             diverse_beam_search(cfg, params, enc, mask, BeamConfig())
 
-    def test_length_normalized_ranking(self):
-        cfg = small_cfg()
-        params = init_params(cfg)
-        enc, mask = encoded(cfg, params)
-        out = diverse_beam_search(
-            cfg, params, enc, mask,
-            BeamConfig(num_candidates=6, beam_size=6, num_groups=1,
-                       diversity_penalty=0.0, length_normalize=True),
-        )
-        keys = [h.raw_score / len(h.ids) for h in out]
-        assert keys == sorted(keys, reverse=True)
-
     def test_deterministic(self):
         cfg = small_cfg()
         params = init_params(cfg)
@@ -220,17 +251,14 @@ class TestGenerateAndPredict:
             generate_candidates(self.cfg, self.params, VOCAB, bad)
 
     def test_classify_with_prompt_returns_distribution(self):
-        probs = classify_with_prompt(self.cfg, self.params, VOCAB, self.ex, (7,))
-        assert probs.shape == (2,)
+        probs = classify_many(self.cfg, self.params, VOCAB, [self.ex], prompts=[(7,)])
+        assert probs.shape == (1, 2)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs >= 0).all()
 
     def test_predict_combines_both_steps(self):
-        result = predict(self.cfg, self.params, VOCAB, self.ex)
+        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [self.ex], BeamConfig())
         prompt = generate_prompt(self.cfg, self.params, VOCAB, self.ex)
-        assert result.prompt == prompt
-        want = classify_with_prompt(
-            self.cfg, self.params, VOCAB, self.ex, prompt.prompt_ids
-        )
-        assert np.allclose(result.probs, want)
-        assert result.top_class() in (0, 1)
+        assert prompts == [prompt]
+        want = classify_many(self.cfg, self.params, VOCAB, [self.ex], prompts=[prompt.prompt_ids])
+        assert np.array_equal(probs, want)

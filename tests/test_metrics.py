@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pada_lab.metrics import f1_binary, f1_macro, score_predictions
+from pada_lab.harness import metric_for_dataset
+from pada_lab.metrics import f1_binary, f1_macro
+from tests.conftest import make_dataset
 from tests.oracles import f1_bruteforce, macro_f1_bruteforce
 
 
@@ -86,20 +88,28 @@ class TestMacroF1:
 
 
 class TestScorePredictions:
+    """The headline metric a dataset's declared labels select."""
+
+    @staticmethod
+    def score(y_true, y_pred, label_set, positive_class):
+        ds = make_dataset({"d": [("tok", label_set[0])]}, label_set=label_set,
+                          positive_class=positive_class)
+        return metric_for_dataset(ds).score(y_true, y_pred, label_set)
+
     def test_binary_with_positive_uses_binary_f1(self):
         y_true = ["pos", "neg", "pos"]
         y_pred = ["pos", "pos", "neg"]
-        got = score_predictions(y_true, y_pred, ("neg", "pos"), "pos")
+        got = self.score(y_true, y_pred, ("neg", "pos"), "pos")
         assert got == f1_binary(y_true, y_pred, "pos", label_set=("neg", "pos"))
 
     def test_binary_without_positive_falls_back_to_macro(self):
         y_true = ["pos", "neg", "pos"]
         y_pred = ["pos", "pos", "neg"]
-        got = score_predictions(y_true, y_pred, ("neg", "pos"), None)
+        got = self.score(y_true, y_pred, ("neg", "pos"), None)
         assert got == f1_macro(y_true, y_pred, ("neg", "pos"))
 
     def test_multiclass_always_macro(self):
         y_true = ["a", "b", "c"]
         y_pred = ["a", "b", "a"]
-        got = score_predictions(y_true, y_pred, ("a", "b", "c"), "a")
+        got = self.score(y_true, y_pred, ("a", "b", "c"), "a")
         assert got == f1_macro(y_true, y_pred, ("a", "b", "c"))

@@ -15,6 +15,7 @@ from pada_lab.model import (
     save_checkpoint,
 )
 from pada_lab.training import TaskInstance
+from tests.conftest import edit_checkpoint_header
 
 
 def tiny_cfg(**kw):
@@ -111,21 +112,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(cfg, p, [[6, cfg.vocab_size]])
 
-    def test_positional_flag_changes_output(self):
-        p = init_params(tiny_cfg())
-        with_pos = encode(tiny_cfg(), p, [[6, 7]])
-        without = encode(tiny_cfg(use_positional=False), p, [[6, 7]])
-        assert not np.allclose(with_pos, without)
-
-    def test_without_positions_order_blind_attention(self):
-        # Self-attention with no position signal treats the sequence as a
-        # bag, so per-token states just swap places with the tokens.
-        cfg = tiny_cfg(use_positional=False)
+    def test_positions_make_encoding_order_aware(self):
+        # Self-attention alone treats the sequence as a bag; the
+        # sinusoidal positions keep swapped tokens from merely swapping
+        # their states.
+        cfg = tiny_cfg()
         p = init_params(cfg)
         fwd = encode(cfg, p, [[6, 7]])
         rev = encode(cfg, p, [[7, 6]])
-        assert np.allclose(fwd[0, 0], rev[0, 1], atol=1e-10)
-        assert np.allclose(fwd[0, 1], rev[0, 0], atol=1e-10)
+        assert not np.allclose(fwd[0, 0], rev[0, 1])
+        assert not np.allclose(fwd[0, 1], rev[0, 0])
 
 
 class TestClassify:
@@ -330,6 +326,45 @@ class TestCheckpoints:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, cfg, init_params(cfg))
+        return path
+
+    def test_unknown_header_key_rejected(self, tmp_path):
+        # e.g. a checkpoint written while ModelConfig still had a field
+        # that has since been removed
+        path = self.saved(tmp_path)
+        edit_checkpoint_header(path, lambda h: h.update(label_smoothing=0.0))
+        with pytest.raises(ValueError, match=r"model\.bin: checkpoint header: unknown key 'label_smoothing'"):
+            load_checkpoint(path)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_checkpoint_header(path, lambda h: h.pop("vocab_size"))
+        with pytest.raises(ValueError, match=r"model\.bin: checkpoint header: .*'vocab_size'"):
+            load_checkpoint(path)
+
+    def test_truncated_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=r"model\.bin: truncated tensor 'cls\.proj\.b'"):
+            load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match=r"model\.bin: truncated header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=r"model\.bin: trailing bytes"):
             load_checkpoint(path)
 
     def test_size_grows_with_vocab(self, tmp_path):

@@ -5,6 +5,7 @@ from pada_lab.corpus import DOMAIN_PREFIX, EOS, SEP, Example, Vocabulary
 from pada_lab.drf import PromptAnnotation
 from pada_lab.model import ModelConfig
 from pada_lab.training import (
+    ADAM_EPS,
     AdamState,
     TaskInstance,
     TrainConfig,
@@ -244,14 +245,14 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        cfg = TrainConfig(lr=0.1, eps=1e-8)
+        cfg = TrainConfig(lr=0.1)
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.array([0.5, -0.25])}
         new, _ = adam_step(params, grads, AdamState(), 1, cfg, 10**9, 0)
         # Bias correction makes the first step lr * g / (|g| + eps) at
         # the scheduled rate, i.e. a signed step of nearly lr.
         lr = lr_at(1, 10**9, 0, cfg.lr)
-        want = params["w"] - lr * grads["w"] / (np.abs(grads["w"]) + cfg.eps)
+        want = params["w"] - lr * grads["w"] / (np.abs(grads["w"]) + ADAM_EPS)
         assert np.allclose(new["w"], want, atol=1e-9)
 
     def test_dtype_preserved(self):
