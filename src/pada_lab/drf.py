@@ -143,7 +143,7 @@ def extract_drf_set(
     dataset: MultiDomainDataset,
     sources,
     domain_j: str,
-    rho: float = 1.5,
+    rho: float = 3.0,
     k_drf: int = 50,
 ) -> DomainProfile:
     """Rank all source-training tokens by descending MI (ties by

@@ -5,19 +5,22 @@ splits the beam into groups and penalizes each group for repeating
 tokens that earlier groups emitted at the same step. Plain beam search
 is the one-group, zero-penalty case of the same engine. Final candidate
 ranking always uses the raw (unpenalized) cumulative log-probability.
-The second step, classifying prompt + SEP + text, is
-`harness.pada_predict_many`.
+Each step makes one call of the incremental decoder
+(`model.advance_decoder`) for the unfinished hypotheses of all groups;
+it keeps every row's self-attention keys and values and the encoder's
+cross-attention keys and values, so a step costs one token per row
+rather than a re-run over the whole prefix. The second step,
+classifying prompt + SEP + text, is `harness.pada_predict_many`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary, tokenize
-from .model import ModelConfig, _f64, decode_step, encode, pad_batch
+from .model import ModelConfig, _f64, advance_decoder, encode, pad_batch, start_decoder
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,10 @@ class Hypothesis:
         return bool(self.ids) and self.ids[-1] == EOS
 
 
-def _step_logp(cfg, params, enc_states, enc_mask, hyps: Sequence[Hypothesis]) -> np.ndarray:
-    prefixes = [(BOS,) + h.ids for h in hyps]
-    rows = np.repeat(enc_states, len(hyps), axis=0)
-    masks = np.repeat(enc_mask, len(hyps), axis=0)
-    return decode_step(cfg, params, rows, masks, prefixes)
-
-
-def _extend(hyps, logp, penalties, width) -> list[Hypothesis]:
-    """Top `width` one-token extensions by penalized score. Ties break
-    toward the lexicographically smaller id sequence."""
+def _extend(hyps, logp, penalties, width) -> tuple[list[Hypothesis], list[int]]:
+    """Top `width` one-token extensions by penalized score, and the row
+    of `hyps` each one extends. Ties break toward the lexicographically
+    smaller id sequence."""
     base = np.array([h.penalized_score for h in hyps])
     scores = (base[:, None] + (logp - penalties)).ravel()
     # Only candidates scoring at least the width-th best can be kept,
@@ -74,15 +71,17 @@ def _extend(hyps, logp, penalties, width) -> list[Hypothesis]:
     for i in picked:
         row, tok = divmod(int(i), n_tok)
         h = hyps[row]
-        pool.append(
+        pool.append((
             Hypothesis(
                 ids=h.ids + (tok,),
                 raw_score=h.raw_score + float(logp[row, tok]),
                 penalized_score=float(scores[i]),
-            )
-        )
-    pool.sort(key=lambda h: (-h.penalized_score, h.ids))
-    return pool[:width]
+            ),
+            row,
+        ))
+    pool.sort(key=lambda pair: (-pair[0].penalized_score, pair[0].ids))
+    kept = pool[:width]
+    return [h for h, _ in kept], [row for _, row in kept]
 
 
 def diverse_beam_search(
@@ -99,43 +98,59 @@ def diverse_beam_search(
     groups emitted that token at this same step. Within a group an
     ordinary beam on cumulative penalized score applies. Every
     hypothesis ends with EOS (forced at the length cap).
+
+    The penalty changes which extensions are kept, never the
+    log-probabilities, and every group's prefixes are fixed before any
+    group selects; so each step feeds the unfinished hypotheses of all
+    groups to the incremental decoder at once, and the groups then
+    select in order from their slices of the result.
     """
     if enc_states.shape[0] != 1:
         raise ValueError("decode one input at a time")
-    params = _f64(params)  # once here, not in every decode_step
+    P = _f64(params)
     max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
     group_width = cfg.beam_size // cfg.num_groups
-    vocab_size = model_cfg.vocab_size
 
+    # each group's unfinished hypotheses; row r of the decoder state
+    # holds the prefix of the r-th of them across groups, in group order
     groups: list[list[Hypothesis]] = [
         [Hypothesis(ids=(), raw_score=0.0, penalized_score=0.0)]
         for _ in range(cfg.num_groups)
     ]
+    parents = np.zeros(cfg.num_groups, dtype=np.int64)
+    tokens = np.full(cfg.num_groups, BOS, dtype=np.int64)
+    state = start_decoder(model_cfg, P, enc_states, enc_mask)
     finished: list[Hypothesis] = []
 
     for step in range(max_len):
-        emitted = np.zeros(vocab_size)
-        any_active = False
-        for g in range(cfg.num_groups):
-            active = [h for h in groups[g] if not h.finished]
-            done = [h for h in groups[g] if h.finished]
+        if not parents.size:
+            break
+        state, logp = advance_decoder(model_cfg, P, state, parents, tokens)
+        if step == max_len - 1:
+            forced = np.full_like(logp, -np.inf)
+            forced[:, EOS] = logp[:, EOS]
+            logp = forced
+        emitted = np.zeros(model_cfg.vocab_size)
+        next_parents: list[int] = []
+        start = 0
+        for g, active in enumerate(groups):
             if not active:
                 continue
-            any_active = True
-            logp = _step_logp(model_cfg, params, enc_states, enc_mask, active)
-            if step == max_len - 1:
-                forced = np.full_like(logp, -np.inf)
-                forced[:, EOS] = logp[:, EOS]
-                logp = forced
-            penalties = cfg.diversity_penalty * emitted
-            extended = _extend(active, logp, penalties, group_width)
-            for h in extended:
+            extended, rows = _extend(
+                active, logp[start : start + len(active)],
+                cfg.diversity_penalty * emitted, group_width,
+            )
+            groups[g] = []
+            for h, row in zip(extended, rows):
                 emitted[h.ids[-1]] += 1.0
                 if h.finished:
                     finished.append(h)
-            groups[g] = done + [h for h in extended if not h.finished]
-        if not any_active:
-            break
+                else:
+                    groups[g].append(h)
+                    next_parents.append(start + row)
+            start += len(active)
+        parents = np.array(next_parents, dtype=np.int64)
+        tokens = np.array([h.ids[-1] for active in groups for h in active], dtype=np.int64)
 
     finished.sort(key=lambda h: (-h.raw_score, h.ids))
     if not finished:

@@ -481,11 +481,96 @@ def classify_tokens(cfg: ModelConfig, params: dict, id_seqs) -> np.ndarray:
     return logp
 
 
+class DecoderState(NamedTuple):
+    """Incremental decoding of R rows over one encoder batch of B rows
+    (B is 1 or R; cross-attention broadcasts over rows).
+
+    cross: per layer, the encoder states' cross-attention keys
+    [B,H,dh,Tk] (pre-transposed) and values [B,H,Tk,dh], projected once.
+    enc_bias: [B,1,1,Tk] additive key mask of the encoder padding.
+    self_kv: per layer, the self-attention keys and values [R,H,t,dh]
+    of the t tokens consumed so far; length is t.
+    """
+
+    cross: tuple
+    enc_bias: np.ndarray
+    self_kv: tuple
+    length: int
+
+
+def start_decoder(cfg: ModelConfig, P: dict, enc_states, enc_mask) -> DecoderState:
+    """A state with one row per encoder row and no tokens consumed.
+    P holds float64 parameters."""
+    enc_states = np.asarray(enc_states, dtype=np.float64)
+    n_b = enc_states.shape[0]
+    empty = np.zeros((n_b, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+    cross = []
+    for i in range(cfg.n_layers):
+        pre = f"dec{i}.cross."
+        k = _split_heads(enc_states @ P[pre + "wk"], cfg.n_heads)
+        v = _split_heads(enc_states @ P[pre + "wv"], cfg.n_heads)
+        cross.append((k.transpose(0, 1, 3, 2), v))
+    bias = (1.0 - np.asarray(enc_mask, dtype=np.float64))[:, None, None, :] * _MASK_NEG
+    return DecoderState(tuple(cross), bias, ((empty, empty),) * cfg.n_layers, 0)
+
+
+def _attend(q, kt, v, bias=None):
+    # q [R,H,1,dh], kt [.,H,dh,Tk], v [.,H,Tk,dh] -> merged context [R,1,D]
+    scores = q @ kt / math.sqrt(q.shape[-1])
+    if bias is not None:
+        scores = scores + bias
+    scores = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.exp(scores)
+    return _merge_heads((e / np.add.reduce(e, axis=-1, keepdims=True)) @ v)
+
+
+def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tokens):
+    """Feed one token to each of R rows; row r continues the prefix of
+    row parents[r] of `state`, so reordering a beam is one fancy index
+    per layer. Returns the new state and next-token log-probabilities
+    [R,V]. P holds float64 parameters.
+
+    Per row this is the last position of `_decoder_fwd` over the whole
+    prefix: earlier positions are causal-masked from later ones, so
+    their keys and values never change once computed.
+    """
+    if state.length >= cfg.max_output_len:
+        raise ValueError(f"prefix exceeds max_output_len={cfg.max_output_len}")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    parents = np.asarray(parents, dtype=np.int64)
+    H = cfg.n_heads
+    x = (P["embed"][tokens] * math.sqrt(cfg.d_model)
+         + _pos_table(cfg.max_output_len, cfg.d_model)[state.length])[:, None, :]
+    self_kv = []
+    for i in range(cfg.n_layers):
+        pre = f"dec{i}."
+        h, _ = _ln_fwd(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
+        q = _split_heads(h @ P[pre + "self.wq"], H)
+        k_old, v_old = state.self_kv[i]
+        k = np.concatenate((k_old[parents], _split_heads(h @ P[pre + "self.wk"], H)), axis=2)
+        v = np.concatenate((v_old[parents], _split_heads(h @ P[pre + "self.wv"], H)), axis=2)
+        self_kv.append((k, v))
+        # no mask: the newest token sees every consumed one
+        x = x + _attend(q, k.transpose(0, 1, 3, 2), v) @ P[pre + "self.wo"]
+        h, _ = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
+        kt, v = state.cross[i]
+        q = _split_heads(h @ P[pre + "cross.wq"], H)
+        x = x + _attend(q, kt, v, state.enc_bias) @ P[pre + "cross.wo"]
+        h, _ = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
+        f, _ = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        x = x + f
+    out, _ = _ln_fwd(x[:, 0, :], P["dec.lnf.g"], P["dec.lnf.b"])
+    logits = out @ P["embed"].T
+    new = DecoderState(state.cross, state.enc_bias, tuple(self_kv), state.length + 1)
+    return new, logits - _logsumexp(logits)
+
+
 def decode_step(cfg: ModelConfig, params: dict, enc_states, enc_mask, prefixes) -> np.ndarray:
     """Next-token log-probabilities [B,V] given BOS-started prefixes.
 
-    Prefixes in a batch must share one length; generation is resumed by
-    re-running the decoder (no incremental cache at this scale).
+    Prefixes in a batch must share one length. One-shot form of the
+    incremental decoder: feeds each prefix token by token through
+    `advance_decoder`, which beam search drives directly.
     """
     prefix = np.asarray(prefixes, dtype=np.int64)
     if prefix.ndim != 2:
@@ -497,13 +582,12 @@ def decode_step(cfg: ModelConfig, params: dict, enc_states, enc_mask, prefixes) 
     if prefix.min() < 0 or prefix.max() >= cfg.vocab_size:
         raise ValueError("prefix token id outside vocabulary")
     P = _f64(params)
-    mask = np.ones(prefix.shape, dtype=np.float64)
-    states, _ = _decoder_fwd(
-        cfg, P, prefix, mask, np.asarray(enc_states, dtype=np.float64),
-        np.asarray(enc_mask, dtype=np.float64),
-    )
-    logits = states[:, -1, :] @ P["embed"].T
-    return logits - _logsumexp(logits)
+    state = start_decoder(cfg, P, enc_states, enc_mask)
+    parents = np.zeros(prefix.shape[0], dtype=np.int64)  # all start empty
+    for t in range(prefix.shape[1]):
+        state, logp = advance_decoder(cfg, P, state, parents, prefix[:, t])
+        parents = np.arange(prefix.shape[0])
+    return logp
 
 
 def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
@@ -631,8 +715,9 @@ def _read_exact(f, n: int, path, what: str) -> bytes:
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint. A malformed file raises ValueError
-    naming the path: bad magic, unknown config keys, truncation, or
-    bytes after the last tensor."""
+    naming the path: bad magic, unknown config keys, truncation, bytes
+    after the last tensor, or a tensor missing, unknown or shaped
+    other than `init_params` makes it for the header's config."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -653,4 +738,16 @@ def load_checkpoint(path):
             params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
+    expected = {name: arr.shape for name, arr in init_params(cfg).items()}
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise ValueError(f"{path}: missing tensor {missing[0]!r}")
+    for name, arr in params.items():
+        if name not in expected:
+            raise ValueError(f"{path}: unknown tensor {name!r}")
+        if arr.shape != expected[name]:
+            raise ValueError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, "
+                f"the header's config needs {expected[name]}"
+            )
     return cfg, params

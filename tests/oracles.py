@@ -144,3 +144,48 @@ def beam_exhaustive(
     walk((), 0.0)
     results.sort(key=lambda pair: (-pair[1], pair[0]))
     return results[:top]
+
+
+def diverse_beam_naive(
+    score_rows, vocab_size: int, eos: int, max_len: int,
+    num_groups: int, group_width: int, penalty: float, top: int,
+) -> list[tuple[tuple[int, ...], float]]:
+    """Diverse beam search one group at a time; score_rows(prefixes)
+    -> one per-token logp list per prefix, called once per group and
+    step on that group's unfinished prefixes.
+
+    A group's token scores drop by penalty times the number of times
+    earlier groups kept that token at this step. Within a group the
+    top group_width extensions by (-penalized score, ids) are kept; an
+    extension ending in EOS is finished and leaves the beam. At max_len
+    only EOS may be emitted. Finished sequences rank by raw score, then
+    ids.
+    """
+    groups = [[((), 0.0, 0.0)] for _ in range(num_groups)]
+    finished = []
+    for step in range(max_len):
+        if not any(groups):
+            break
+        emitted = [0] * vocab_size
+        for g in range(num_groups):
+            active = groups[g]
+            if not active:
+                continue
+            pool = []
+            for (ids, raw, pen), logp in zip(active, score_rows([ids for ids, _, _ in active])):
+                for tok in range(vocab_size):
+                    if step == max_len - 1 and tok != eos:
+                        continue
+                    pool.append(
+                        (ids + (tok,), raw + logp[tok], pen + (logp[tok] - penalty * emitted[tok]))
+                    )
+            pool.sort(key=lambda c: (-c[2], c[0]))
+            groups[g] = []
+            for cand in pool[:group_width]:
+                emitted[cand[0][-1]] += 1
+                if cand[0][-1] == eos:
+                    finished.append(cand)
+                else:
+                    groups[g].append(cand)
+    finished.sort(key=lambda c: (-c[1], c[0]))
+    return [(ids, raw) for ids, raw, _ in finished[:top]]

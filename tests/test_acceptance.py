@@ -377,6 +377,7 @@ def test_checkpoint_bytes_scale_with_expert_count(capsys):
     )
 
 
+@pytest.mark.slow
 def test_rerun_writes_byte_identical_csv(tmp_path, capsys):
     """Two identical leave-one-out invocations must emit the same CSV
     byte for byte."""
@@ -392,6 +393,7 @@ def test_rerun_writes_byte_identical_csv(tmp_path, capsys):
     )
 
 
+@pytest.mark.slow
 def test_leave_one_out_desk_run_meets_bar(tmp_path, capsys):
     """Full default-corpus run with all five models inside the wall
     budget; the prompt-driven model keeps target F1 within 0.02 of the

@@ -277,6 +277,7 @@ class TestTrainPredictRoundTrip:
         ("header key", "checkpoint.bin"),
         ("truncated", "checkpoint.bin"),
         ("trailing", "checkpoint.bin"),
+        ("tensor shape", "checkpoint.bin"),
     ])
     def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
                                            damage, named):
@@ -289,6 +290,9 @@ class TestTrainPredictRoundTrip:
             (model / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "header key":
             edit_checkpoint_header(ckpt, lambda h: h.update(label_smoothing=0.0))
+        elif damage == "tensor shape":
+            # the header claims a wider FFN than the tensors hold
+            edit_checkpoint_header(ckpt, lambda h: h.update(d_ffn=16))
         elif damage == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:-5])
         else:
@@ -298,6 +302,8 @@ class TestTrainPredictRoundTrip:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_predict_pair_input_joined(self, noda_dir, tmp_path):
         data = tmp_path / "pairs.jsonl"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from collections import Counter
@@ -18,6 +19,7 @@ from pada_lab.drf import (
     ratio_filter,
     save_profile,
 )
+from pada_lab.harness import ExperimentConfig
 from tests.conftest import make_dataset, random_corpus
 from tests.oracles import annotation_bruteforce, drf_bruteforce, mi_bruteforce
 
@@ -182,6 +184,19 @@ class TestExtractDrfSet:
         assert data["rho"] == 1.5
         assert [d["token"] for d in data["drfs"]] == profile.drf_tokens()
         assert {"token", "mi", "ratio"} <= set(data["drfs"][0])
+
+
+def test_library_defaults_match_pipeline():
+    # a library caller relying on the defaults gets the pipeline's profiles
+    cfg = ExperimentConfig()
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(extract_drf_set, "rho") == cfg.rho
+    assert default(extract_drf_set, "k_drf") == cfg.k_drf
+    assert default(build_embeddings, "d_emb") == cfg.d_emb
+    assert default(build_embeddings, "window") == cfg.window
 
 
 class TestEmbeddings:

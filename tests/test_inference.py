@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pada_lab.baselines import classify_many
-from pada_lab.corpus import EOS, UNK, Example, Vocabulary
+from pada_lab.corpus import BOS, EOS, UNK, Example, Vocabulary
 from pada_lab.harness import pada_predict_many
 from pada_lab.inference import (
     BeamConfig,
@@ -14,8 +14,17 @@ from pada_lab.inference import (
     generate_candidates,
     generate_prompt,
 )
-from pada_lab.model import ModelConfig, decode_step, encode, init_params, pad_batch
-from tests.oracles import beam_exhaustive
+from pada_lab.model import (
+    ModelConfig,
+    _decoder_fwd,
+    _f64,
+    _logsumexp,
+    decode_step,
+    encode,
+    init_params,
+    pad_batch,
+)
+from tests.oracles import beam_exhaustive, diverse_beam_naive
 
 VOCAB = Vocabulary.from_tokens(["alpha", "beta"])
 
@@ -58,18 +67,21 @@ class TestHypothesis:
 
 
 def extend_full_pool(hyps, logp, penalties, width):
-    """Every one-token extension, sorted by (-penalized, ids)."""
+    """Every one-token extension with its row, sorted by (-penalized, ids)."""
     pool = [
-        Hypothesis(
-            ids=h.ids + (tok,),
-            raw_score=h.raw_score + float(logp[row, tok]),
-            penalized_score=h.penalized_score + float(logp[row, tok] - penalties[tok]),
+        (
+            Hypothesis(
+                ids=h.ids + (tok,),
+                raw_score=h.raw_score + float(logp[row, tok]),
+                penalized_score=h.penalized_score + float(logp[row, tok] - penalties[tok]),
+            ),
+            row,
         )
         for row, h in enumerate(hyps)
         for tok in range(logp.shape[1])
     ]
-    pool.sort(key=lambda h: (-h.penalized_score, h.ids))
-    return pool[:width]
+    pool.sort(key=lambda pair: (-pair[0].penalized_score, pair[0].ids))
+    return [h for h, _ in pool[:width]], [row for _, row in pool[:width]]
 
 
 class TestExtend:
@@ -77,8 +89,9 @@ class TestExtend:
         hyps = [Hypothesis(ids=(3,), raw_score=0.0, penalized_score=0.0),
                 Hypothesis(ids=(1,), raw_score=0.0, penalized_score=0.0)]
         logp = np.zeros((2, 4))
-        got = _extend(hyps, logp, np.zeros(4), 3)
+        got, rows = _extend(hyps, logp, np.zeros(4), 3)
         assert [h.ids for h in got] == [(1, 0), (1, 1), (1, 2)]
+        assert rows == [1, 1, 1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_full_pool(self, seed):
@@ -205,6 +218,44 @@ class TestDiverseBeam:
         assert diverse_beam_search(cfg, params, enc, mask, bc) == diverse_beam_search(
             cfg, params, enc, mask, bc
         )
+
+
+def full_prefix_logp(cfg, params, enc, mask, prefixes):
+    """Next-token logp re-running the training decoder over whole
+    prefixes, with the encoder states repeated per row."""
+    P = _f64(params)
+    ids = np.array([(BOS,) + tuple(p) for p in prefixes], dtype=np.int64)
+    n = len(prefixes)
+    states, _ = _decoder_fwd(
+        cfg, P, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
+    )
+    logits = states[:, -1] @ P["embed"].T
+    return logits - _logsumexp(logits)
+
+
+class TestDiverseBeamAgainstNaive:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_group_by_group_search(self, seed):
+        rng = np.random.default_rng(seed)
+        num_groups = int(rng.integers(2, 6))
+        group_width = int(rng.integers(1, 4))
+        max_len = int(rng.integers(3, 7))
+        penalty = float(rng.uniform(0.1, 3.0))
+        cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)), max_output_len=max_len)
+        params = init_params(cfg)
+        enc, mask = encoded(cfg, params, ids=rng.integers(3, cfg.vocab_size, size=4))
+        bc = BeamConfig(
+            num_candidates=num_groups * group_width, beam_size=num_groups * group_width,
+            num_groups=num_groups, diversity_penalty=penalty,
+        )
+        want = diverse_beam_naive(
+            lambda prefixes: full_prefix_logp(cfg, params, enc, mask, prefixes),
+            cfg.vocab_size, EOS, max_len, num_groups, group_width, penalty, bc.num_candidates,
+        )
+        got = diverse_beam_search(cfg, params, enc, mask, bc)
+        assert [h.ids for h in got] == [ids for ids, _ in want]
+        for h, (_, score) in zip(got, want):
+            assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
 
 
 class TestGeneratedPrompt:

@@ -4,6 +4,10 @@ import pytest
 from pada_lab.corpus import BOS, EOS, PAD
 from pada_lab.model import (
     ModelConfig,
+    _decoder_fwd,
+    _f64,
+    _logsumexp,
+    advance_decoder,
     classify,
     classify_tokens,
     decode_step,
@@ -13,6 +17,7 @@ from pada_lab.model import (
     loss_and_grads,
     pad_batch,
     save_checkpoint,
+    start_decoder,
 )
 from pada_lab.training import TaskInstance
 from tests.conftest import edit_checkpoint_header
@@ -186,13 +191,33 @@ class TestDecodeStep:
             decode_step(self.cfg, self.p, self.enc, self.mask, [[BOS, 99]])
 
     def test_causal_prefix_extension_consistent(self):
-        # Extending the prefix must not rewrite the distribution that an
-        # earlier step produced for the same history.
-        short = decode_step(self.cfg, self.p, self.enc, self.mask, [[BOS, 7]])
-        longer_states_irrelevant = decode_step(
-            self.cfg, self.p, self.enc, self.mask, [[BOS, 7]]
-        )
-        assert np.allclose(short, longer_states_irrelevant)
+        # A 10-row state stepped with reshuffled parents must give, at
+        # every step, the teacher-forced decoder's next-token logp for
+        # the sequences the rows now hold.
+        rng = np.random.default_rng(0)
+        cfg = tiny_cfg(n_layers=2)
+        p = init_params(cfg)
+        P = _f64(p)
+        ids, mask = pad_batch([[6, 7, 8, 9]])
+        enc = encode(cfg, p, ids, mask)
+        n_rows = 10
+        state = start_decoder(cfg, P, enc, mask)
+        seqs = np.full((n_rows, 1), BOS)
+        parents = np.zeros(n_rows, dtype=np.int64)
+        for _ in range(cfg.max_output_len):
+            state, logp = advance_decoder(cfg, P, state, parents, seqs[:, -1])
+            states, _ = _decoder_fwd(
+                cfg, P, seqs, np.ones(seqs.shape),
+                np.repeat(enc, n_rows, axis=0), np.repeat(mask, n_rows, axis=0),
+            )
+            logits = states[:, -1] @ P["embed"].T
+            np.testing.assert_allclose(logp, logits - _logsumexp(logits), rtol=0, atol=1e-12)
+            for r in (0, n_rows - 1):
+                alone = decode_step(cfg, p, enc, mask, seqs[r : r + 1])
+                np.testing.assert_allclose(logp[r : r + 1], alone, rtol=0, atol=1e-12)
+            parents = rng.integers(0, n_rows, size=n_rows)
+            tokens = rng.integers(EOS + 1, cfg.vocab_size, size=n_rows)
+            seqs = np.concatenate([seqs[parents], tokens[:, None]], axis=1)
 
 
 def disc_batch(cfg, seqs, classes):
@@ -365,6 +390,29 @@ class TestCheckpoints:
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match=r"model\.bin: trailing bytes"):
+            load_checkpoint(path)
+
+    def test_tensor_shape_must_match_header(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_checkpoint_header(path, lambda h: h.update(d_ffn=16))
+        with pytest.raises(ValueError, match=r"model\.bin: tensor 'enc0\.ffn\.w1' has shape \(8, 8\)"):
+            load_checkpoint(path)
+
+    def test_embed_rows_must_match_vocab_size(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_checkpoint_header(path, lambda h: h.update(vocab_size=13))
+        with pytest.raises(ValueError, match=r"model\.bin: tensor 'embed' has shape \(12, 8\)"):
+            load_checkpoint(path)
+
+    def test_missing_and_unknown_tensors_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        p = init_params(cfg)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, cfg, {k: v for k, v in p.items() if k != "cls.proj.b"})
+        with pytest.raises(ValueError, match=r"model\.bin: missing tensor 'cls\.proj\.b'"):
+            load_checkpoint(path)
+        save_checkpoint(path, cfg, {**p, "extra": np.zeros(2, dtype=np.float32)})
+        with pytest.raises(ValueError, match=r"model\.bin: unknown tensor 'extra'"):
             load_checkpoint(path)
 
     def test_size_grows_with_vocab(self, tmp_path):
