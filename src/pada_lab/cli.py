@@ -43,6 +43,7 @@ from .harness import (
     write_aggregate_csv,
 )
 from .inference import generate_candidates
+from .model import _f64
 
 
 class UsageError(Exception):
@@ -369,14 +370,15 @@ def _cmd_predict(merged: dict, rc_hash: str) -> int:
 
     candidate_lists = None
     if trained.model == "pada":
+        params = _f64(trained.params)  # once, not once per example
         candidate_lists = [
-            generate_candidates(trained.model_cfg, trained.params, trained.vocab, ex, beam_cfg)
+            generate_candidates(trained.model_cfg, params, trained.vocab, ex, beam_cfg)
             for ex in examples
         ]
         from .baselines import classify_many
 
         probs = classify_many(
-            trained.model_cfg, trained.params, trained.vocab, examples,
+            trained.model_cfg, params, trained.vocab, examples,
             prompts=[cands[0].prompt_ids for cands in candidate_lists],
         )
     else:

@@ -9,7 +9,6 @@ example with the nearest features of its domain to form prompts.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -283,14 +282,20 @@ def annotate_prompt(
         raise ValueError(f"example {example.id!r} has no tokens")
     token_vecs = np.array([emb.lookup(t) for t in dict.fromkeys(tokens)])
 
-    scored = []
-    for rank, entry in enumerate(profile.drfs):
-        # sqrt(d . d) per row is exactly np.linalg.norm; sqrt is monotone,
-        # so it is taken once, of the smallest square
-        diffs = emb.lookup(entry.token) - token_vecs
-        dist = math.sqrt(min(float(d.dot(d)) for d in diffs))
-        scored.append((dist, rank, entry.token))
-    scored.sort()
+    dists = []
+    if profile.drfs:
+        feats = np.array([emb.lookup(entry.token) for entry in profile.drfs])
+        diffs = feats[:, None, :] - token_vecs[None]  # [K, N, D]
+        # Each stacked [1,D] @ [D,1] product runs numpy's dot kernel, so a
+        # square equals d.dot(d), and sqrt(d . d) is exactly
+        # np.linalg.norm; einsum and (d * d).sum() add in another order
+        # and differ in the last bit. sqrt is monotone, so it is taken
+        # once, of the smallest square.
+        sq = (diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0]
+        dists = np.sqrt(sq.min(axis=1)).tolist()
+    scored = sorted(
+        (dist, rank, entry.token) for rank, (dist, entry) in enumerate(zip(dists, profile.drfs))
+    )
     keep = scored[: min(m, len(scored))]
     return PromptAnnotation(
         example_id=example.id,

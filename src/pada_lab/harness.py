@@ -50,7 +50,7 @@ from .drf import (
 )
 from .inference import BeamConfig, GeneratedPrompt, generate_prompt
 from .metrics import f1_binary, f1_macro
-from .model import ModelConfig, config_from_dict, load_checkpoint, save_checkpoint
+from .model import ModelConfig, _f64, config_from_dict, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 MODEL_NAMES = ("pada", "pada-nc", "pada-dn", "noda", "moe", "ub")
@@ -207,6 +207,7 @@ def pada_predict_many(
 ) -> tuple[np.ndarray, list[GeneratedPrompt]]:
     """Two-step prediction for a batch: per-example prompt generation,
     then one batched classification over prompt + SEP + text."""
+    params = _f64(params)  # once per request, not once per model call
     prompts = [generate_prompt(model_cfg, params, vocab, ex, beam_cfg) for ex in examples]
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[p.prompt_ids for p in prompts]

@@ -435,8 +435,10 @@ def _classify_bwd(dlogits, cache, grads):
     _acc(grads, "cls.conv.b", dconv.sum(axis=(0, 1)))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
+    # as [F, B*T] @ [B*T, D] the product runs on BLAS; einsum does not
+    dconv_t = dconv.reshape(-1, n_f).T
     for k in range(width):
-        dw[:, k, :] = np.einsum("btf,btd->fd", dconv, xp[:, k : k + n_t, :])
+        dw[:, k, :] = dconv_t @ xp[:, k : k + n_t, :].reshape(n_b * n_t, -1)
         dxp[:, k : k + n_t, :] += dconv @ w[:, k, :]
     _acc(grads, "cls.conv.w", dw)
     pad = (width - 1) // 2

@@ -239,17 +239,27 @@ def adam_step(
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in tensor {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        new_params[name] = (p.astype(np.float64, copy=False) - update).astype(p.dtype)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        # In place, with the IEEE operations and their order of
+        #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
+        #   update = lr (m / bc1) / (sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        g2 = g * g
+        g2 *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += g2
+        update = np.divide(m, bc1, out=np.empty_like(m))
+        update *= lr
+        den = np.divide(v, bc2, out=np.empty_like(v))
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        update /= den
+        np.subtract(p, update, out=update)
+        new_params[name] = update.astype(p.dtype, copy=False)
     return new_params, state
 
 

@@ -100,6 +100,34 @@ def annotation_bruteforce(
     return [token for _, _, token in scored[:m]]
 
 
+def annotation_scalar_loop(
+    example_tokens: list[str],
+    profile_tokens: list[str],
+    vectors: dict,
+    unk_token: str,
+    m: int,
+) -> tuple[list[str], list[float]]:
+    """The nearest-m selection with one numpy d.dot(d) per (feature,
+    token) pair, d the difference of their vectors, and the square root
+    of each feature's smallest square. Returns the tokens and their
+    distances, ties broken by profile position, then token."""
+
+    def vec(token):
+        return vectors.get(token, vectors[unk_token])
+
+    distinct = list(dict.fromkeys(example_tokens))
+    scored = []
+    for rank, r in enumerate(profile_tokens):
+        squares = []
+        for t in distinct:
+            d = vec(r) - vec(t)
+            squares.append(float(d.dot(d)))
+        scored.append((math.sqrt(min(squares)), rank, r))
+    scored.sort()
+    keep = scored[:m]
+    return [r for _, _, r in keep], [dist for dist, _, _ in keep]
+
+
 def f1_bruteforce(y_true: list[str], y_pred: list[str], positive: str) -> float:
     """Binary F1 from an explicitly assembled confusion matrix."""
     matrix: dict[tuple[str, str], int] = {}

@@ -21,7 +21,12 @@ from pada_lab.drf import (
 )
 from pada_lab.harness import ExperimentConfig
 from tests.conftest import make_dataset, random_corpus
-from tests.oracles import annotation_bruteforce, drf_bruteforce, mi_bruteforce
+from tests.oracles import (
+    annotation_bruteforce,
+    annotation_scalar_loop,
+    drf_bruteforce,
+    mi_bruteforce,
+)
 
 TOY = {
     "inside": [("x y", "pos"), ("x z", "pos")],
@@ -351,3 +356,27 @@ class TestAnnotation:
                 words, drfs, {t: list(v) for t, v in vectors.items()}, "<unk>", m
             )
             assert list(ann.drf_tokens) == want
+
+    def test_distances_equal_scalar_loop(self, rng):
+        # equal, not close: the stacked product must run the dot kernel
+        for case in range(240):
+            dim = int(rng.integers(1, 40))
+            n_drf = 0 if case % 40 == 0 else int(rng.integers(1, 30))
+            drfs = [f"r{i}" for i in range(n_drf)]
+            words = [f"t{i}" for i in range(int(rng.integers(1, 20)))]
+            vectors = {t: rng.normal(size=dim) for t in drfs + words + ["<unk>"]}
+            # exact ties: shared vectors, and features and words left out
+            # of the table, which all look up the UNK vector
+            for t in rng.choice(drfs + words, size=len(drfs + words) // 3):
+                vectors[str(t)] = vectors[str(rng.choice(drfs + words))].copy()
+            for t in rng.choice(drfs + words, size=len(drfs + words) // 4):
+                vectors.pop(str(t), None)
+            text = " ".join(rng.choice(words, size=int(rng.integers(1, 30))))
+            emb = table_of(list(vectors.items()), dim=dim)
+            profile = profile_of([(t, 1.0) for t in drfs])
+            ex = Example(id="e", text=text, label="pos", domain="dom")
+            m = 0 if case % 40 == 1 else int(rng.integers(0, n_drf + 3))
+            ann = annotate_prompt(ex, profile, emb, m=m)
+            tokens, dists = annotation_scalar_loop(text.split(), drfs, vectors, "<unk>", m)
+            assert ann.drf_tokens == tuple(tokens)
+            assert ann.distances == tuple(dists)

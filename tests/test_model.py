@@ -6,6 +6,8 @@ from pada_lab.model import (
     ModelConfig,
     _decoder_fwd,
     _f64,
+    _classify_bwd,
+    _classify_fwd,
     _logsumexp,
     advance_decoder,
     classify,
@@ -158,6 +160,30 @@ class TestClassify:
         states = np.zeros((1, 3, cfg.d_model))
         with pytest.raises(ValueError, match="unpadded"):
             classify(cfg, p, states, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("width", [1, 3, 9])
+    def test_conv_weight_gradient_matches_einsum(self, width):
+        # reference: the per-width einsum over batch and time
+        rng = np.random.default_rng(width)
+        cfg = tiny_cfg(conv_width=width, conv_filters=4)
+        P = {k: v + rng.normal(size=v.shape) for k, v in _f64(init_params(cfg)).items()}
+        for n_b in (1, 3):
+            for n_t in range(1, 13):
+                states = rng.normal(size=(n_b, n_t, cfg.d_model))
+                mask = (rng.random((n_b, n_t)) < 0.7).astype(np.float64)
+                mask[:, 0] = 1.0
+                _, cache = _classify_fwd(cfg, P, states, mask)
+                dlogits = rng.normal(size=(n_b, cfg.n_classes))
+                grads = {}
+                _classify_bwd(dlogits, cache, grads)
+
+                _, xp, conv, _, idx, _, w, pw = cache
+                dconv = np.zeros_like(conv)
+                dconv[np.arange(n_b)[:, None], idx, np.arange(w.shape[0])[None, :]] = dlogits @ pw
+                want = np.zeros_like(w)
+                for k in range(width):
+                    want[:, k, :] = np.einsum("btf,btd->fd", dconv, xp[:, k : k + n_t, :])
+                np.testing.assert_allclose(grads["cls.conv.w"], want, rtol=1e-12, atol=0)
 
 
 class TestDecodeStep:

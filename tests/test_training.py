@@ -5,6 +5,8 @@ from pada_lab.corpus import DOMAIN_PREFIX, EOS, SEP, Example, Vocabulary
 from pada_lab.drf import PromptAnnotation
 from pada_lab.model import ModelConfig
 from pada_lab.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     TaskInstance,
@@ -270,6 +272,46 @@ class TestAdam:
             grads = {"w": params["w"].copy()}
             params, state = adam_step(params, grads, state, step, cfg, 10**9, 0)
         assert np.abs(params["w"]).max() < 1e-6
+
+    def test_bitwise_equal_to_out_of_place_formula(self):
+        def reference(params, grads, ms, vs, step, cfg, total_steps, warmup_steps):
+            lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
+            out = {}
+            for name, p in params.items():
+                g = np.asarray(grads[name], dtype=np.float64)
+                m = ms.get(name, np.zeros_like(g))
+                v = vs.get(name, np.zeros_like(g))
+                ms[name] = m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+                vs[name] = v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+                update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                out[name] = (p.astype(np.float64, copy=False) - update).astype(p.dtype)
+            return out
+
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(lr=0.01)
+        shapes = {"a.w": (3, 4), "b": (5,), "c.w": (2, 3, 2), "s": ()}
+        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        want, ms, vs = dict(params), {}, {}
+        state = AdamState()
+        for step in range(1, 21):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=s)
+                     for k, s in shapes.items()}
+            grads["b"][0] = 0.0
+            grads["s"] = grads["s"].astype(np.float32)
+            given = {k: v.copy() for k, v in params.items()}
+            given_grads = {k: v.copy() for k, v in grads.items()}
+            new, state = adam_step(params, grads, state, step, cfg, 20, 3)
+            want = reference(want, grads, ms, vs, step, cfg, 20, 3)
+            for k in shapes:
+                assert params[k].tobytes() == given[k].tobytes(), k
+                assert grads[k].tobytes() == given_grads[k].tobytes(), k
+                assert new[k].dtype == np.float32, k
+                assert new[k].tobytes() == want[k].tobytes(), (step, k)
+                assert state.m[k].tobytes() == ms[k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == vs[k].tobytes(), (step, k)
+            params = new
 
     def test_non_finite_gradient_names_the_tensor(self):
         cfg = TrainConfig()
