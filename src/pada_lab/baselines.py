@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Example, Vocabulary, domain_token, tokenize
+from .corpus import Example, Vocabulary, domain_token
 from .model import ModelConfig, _f64, classify, encode, pad_batch
 from .training import TrainConfig, TrainResult, build_disc_input, train
 
@@ -47,7 +47,7 @@ def classify_many(
         raise ValueError("one prompt per example required")
     inputs = []
     for i, ex in enumerate(examples):
-        text_ids = vocab.encode_tokens(tokenize(ex.text))
+        text_ids = vocab.encode_text(ex.text)
         if not text_ids:
             raise ValueError(f"example {ex.id!r} has no tokens")
         prompt = prompts[i] if prompts is not None else ()

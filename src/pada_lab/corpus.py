@@ -22,6 +22,10 @@ SEP_TOKEN = SPECIAL_TOKENS[SEP]
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Texts whose ids one vocabulary remembers; training re-encodes the same
+# texts every epoch and evaluation every call.
+_TEXT_IDS_CAP = 1 << 16
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on maximal runs of non-alphanumerics.
@@ -57,6 +61,9 @@ class Vocabulary:
 
     id_to_token: tuple[str, ...]
     token_to_id: dict[str, int] = field(compare=False, repr=False)
+    _text_ids: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if tuple(self.id_to_token[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
@@ -79,8 +86,15 @@ class Vocabulary:
     def encode_tokens(self, tokens) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
-    def encode_text(self, text: str) -> list[int]:
-        return self.encode_tokens(tokenize(text))
+    def encode_text(self, text: str) -> tuple[int, ...]:
+        """Ids of tokenize(text), memoised for the first _TEXT_IDS_CAP
+        distinct texts."""
+        ids = self._text_ids.get(text)
+        if ids is None:
+            ids = tuple(self.encode_tokens(tokenize(text)))
+            if len(self._text_ids) < _TEXT_IDS_CAP:
+                self._text_ids[text] = ids
+        return ids
 
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -92,8 +106,19 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        return Vocabulary.from_tokens(json.load(f)["tokens"])
+    """Inverse of save_vocab; a malformed file raises ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON vocabulary ({e})") from e
+    tokens = data.get("tokens") if isinstance(data, dict) else None
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"{path}: expected an object whose 'tokens' is a list of strings")
+    try:
+        return Vocabulary.from_tokens(tokens)
+    except ValueError as e:  # a duplicate or a special token
+        raise ValueError(f"{path}: {e}") from e
 
 
 _SPLITS = ("train", "dev", "test")

@@ -810,34 +810,61 @@ def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:
     manifest_path = model_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {model_dir}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{manifest_path}: not a JSON manifest ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
+
+    def entry(key, ok, what):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r}")
+        value = manifest[key]
+        if not ok(value):
+            raise ValueError(f"{manifest_path}: {key} must be {what}, got {value!r}")
+        return value
+
+    def is_str_list(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
     cfg = config_from_dict(ExperimentConfig, manifest.get("config"), f"{manifest_path}: config")
+    model = entry("model", lambda v: isinstance(v, str), "a string")
+    sources = tuple(entry("sources", is_str_list, "a list of strings"))
+    label_set = tuple(entry("label_set", is_str_list, "a list of strings"))
+    positive_class = entry("positive_class", lambda v: v is None or isinstance(v, str),
+                           "a string or null")
+    target = entry("target", lambda v: v is None or isinstance(v, str), "a string or null")
     vocab = load_vocab(model_dir / "vocab.json")
-    model = manifest["model"]
     params = None
     ensemble = None
     if model == "moe":
         params_by_domain = {}
         model_cfg = None
-        for d in manifest["sources"]:
+        for d in sources:
             model_cfg, expert_params = load_checkpoint(model_dir / "experts" / f"{d}.bin")
             params_by_domain[d] = expert_params
         ensemble = ExpertEnsemble(
             model_cfg=model_cfg,
-            domains=tuple(manifest["sources"]),
+            domains=sources,
             params_by_domain=params_by_domain,
         )
     else:
         model_cfg, params = load_checkpoint(model_dir / "checkpoint.bin")
+    if model_cfg is not None and model_cfg.n_classes != len(label_set):
+        raise ValueError(
+            f"{manifest_path}: {len(label_set)} labels, the checkpoint has "
+            f"{model_cfg.n_classes} classes"
+        )
     trained = TrainedVariant(
         model=model,
         model_cfg=model_cfg,
         vocab=vocab,
-        label_set=tuple(manifest["label_set"]),
-        positive_class=manifest["positive_class"],
-        sources=tuple(manifest["sources"]),
-        target=manifest["target"],
+        label_set=label_set,
+        positive_class=positive_class,
+        sources=sources,
+        target=target,
         params=params,
         ensemble=ensemble,
         best_epoch=manifest.get("best_epoch", -1),

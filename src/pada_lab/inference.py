@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary, tokenize
+from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary
 from .model import ModelConfig, _f64, advance_decoder, encode, pad_batch, start_decoder
 
 
@@ -196,10 +196,10 @@ class GeneratedPrompt:
 def encode_for_generation(
     model_cfg: ModelConfig, params: dict, vocab: Vocabulary, example: Example
 ):
-    text_ids = vocab.encode_tokens(tokenize(example.text))
+    text_ids = vocab.encode_text(example.text)
     if not text_ids:
         raise ValueError(f"example {example.id!r} has no tokens")
-    ids, mask = pad_batch([([DOMAIN_PREFIX] + text_ids)[: model_cfg.max_input_len]])
+    ids, mask = pad_batch([((DOMAIN_PREFIX,) + text_ids)[: model_cfg.max_input_len]])
     return encode(model_cfg, params, ids, mask), mask
 
 

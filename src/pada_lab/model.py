@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -42,6 +43,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "d_ffn", "conv_filters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.conv_width < 1 or self.conv_width % 2 == 0:
@@ -62,48 +66,51 @@ class ForwardTrace(NamedTuple):
     caches: tuple
 
 
-def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Fresh float32 parameters, deterministic given cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in `init_params` order."""
     D, F, V = cfg.d_model, cfg.d_ffn, cfg.vocab_size
-
-    def mat(shape, fan_in, fan_out):
-        lim = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=shape).astype(np.float32)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=np.float32)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.float32)
-
-    p: dict[str, np.ndarray] = {}
-    p["embed"] = rng.normal(0.0, 0.02, size=(V, D)).astype(np.float32)
+    s: dict[str, tuple[int, ...]] = {"embed": (V, D)}
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
-        p[pre + "ln1.g"], p[pre + "ln1.b"] = ones(D), zeros(D)
+        s[pre + "ln1.g"] = s[pre + "ln1.b"] = (D,)
         for nm in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + nm] = mat((D, D), D, D)
-        p[pre + "ln2.g"], p[pre + "ln2.b"] = ones(D), zeros(D)
-        p[pre + "ffn.w1"], p[pre + "ffn.b1"] = mat((D, F), D, F), zeros(F)
-        p[pre + "ffn.w2"], p[pre + "ffn.b2"] = mat((F, D), F, D), zeros(D)
-    p["enc.lnf.g"], p["enc.lnf.b"] = ones(D), zeros(D)
+            s[pre + "attn." + nm] = (D, D)
+        s[pre + "ln2.g"] = s[pre + "ln2.b"] = (D,)
+        s[pre + "ffn.w1"], s[pre + "ffn.b1"] = (D, F), (F,)
+        s[pre + "ffn.w2"], s[pre + "ffn.b2"] = (F, D), (D,)
+    s["enc.lnf.g"] = s["enc.lnf.b"] = (D,)
     for i in range(cfg.n_layers):
         pre = f"dec{i}."
-        p[pre + "ln1.g"], p[pre + "ln1.b"] = ones(D), zeros(D)
+        s[pre + "ln1.g"] = s[pre + "ln1.b"] = (D,)
         for nm in ("wq", "wk", "wv", "wo"):
-            p[pre + "self." + nm] = mat((D, D), D, D)
-        p[pre + "ln2.g"], p[pre + "ln2.b"] = ones(D), zeros(D)
+            s[pre + "self." + nm] = (D, D)
+        s[pre + "ln2.g"] = s[pre + "ln2.b"] = (D,)
         for nm in ("wq", "wk", "wv", "wo"):
-            p[pre + "cross." + nm] = mat((D, D), D, D)
-        p[pre + "ln3.g"], p[pre + "ln3.b"] = ones(D), zeros(D)
-        p[pre + "ffn.w1"], p[pre + "ffn.b1"] = mat((D, F), D, F), zeros(F)
-        p[pre + "ffn.w2"], p[pre + "ffn.b2"] = mat((F, D), F, D), zeros(D)
-    p["dec.lnf.g"], p["dec.lnf.b"] = ones(D), zeros(D)
-    p["cls.conv.w"] = mat((cfg.conv_filters, cfg.conv_width, D), cfg.conv_width * D, cfg.conv_filters)
-    p["cls.conv.b"] = zeros(cfg.conv_filters)
-    p["cls.proj.w"] = mat((cfg.n_classes, cfg.conv_filters), cfg.conv_filters, cfg.n_classes)
-    p["cls.proj.b"] = zeros(cfg.n_classes)
+            s[pre + "cross." + nm] = (D, D)
+        s[pre + "ln3.g"] = s[pre + "ln3.b"] = (D,)
+        s[pre + "ffn.w1"], s[pre + "ffn.b1"] = (D, F), (F,)
+        s[pre + "ffn.w2"], s[pre + "ffn.b2"] = (F, D), (D,)
+    s["dec.lnf.g"] = s["dec.lnf.b"] = (D,)
+    s["cls.conv.w"], s["cls.conv.b"] = (cfg.conv_filters, cfg.conv_width, D), (cfg.conv_filters,)
+    s["cls.proj.w"], s["cls.proj.b"] = (cfg.n_classes, cfg.conv_filters), (cfg.n_classes,)
+    return s
+
+
+def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Fresh float32 parameters, deterministic given cfg.seed: a small
+    normal embedding, Glorot-uniform weights (fan-in plus fan-out is the
+    first dimension plus the product of the rest), unit layer-norm
+    gains and zero biases, drawn in `param_shapes` order."""
+    rng = np.random.default_rng(cfg.seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name == "embed":
+            p[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+        elif len(shape) == 1:
+            p[name] = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=np.float32)
+        else:
+            lim = math.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+            p[name] = rng.uniform(-lim, lim, size=shape).astype(np.float32)
     return p
 
 
@@ -140,7 +147,11 @@ def pad_batch(id_seqs, pad_id: int = PAD):
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    e = x - m
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    m += np.log(s, out=s)
+    return m
 
 
 # --- primitives -------------------------------------------------------------
@@ -151,28 +162,43 @@ _LN_EPS = 1e-5
 def _ln_fwd(x, g, b):
     # add.reduce / n is exactly ndarray.mean without its Python wrapper,
     # which costs more than the math at decoding sizes; _attn_fwd calls
-    # the ufunc reductions directly for the same reason
+    # the ufunc reductions directly for the same reason. The in-place
+    # steps are the out-of-place formula's operations in the same order.
     n = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    buf = np.multiply(xc, xc)
+    var = np.add.reduce(buf, axis=-1, keepdims=True)
+    var /= n
+    var += _LN_EPS
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    xhat = xc
+    xhat *= inv
+    out = np.multiply(xhat, g, out=buf)
+    out += b
+    return out, (xhat, inv, g)
 
 
 def _ln_bwd(dout, cache):
     xhat, inv, g = cache
     n = xhat.shape[-1]
     axes = tuple(range(xhat.ndim - 1))
-    dg = (dout * xhat).sum(axis=axes)
+    buf = np.multiply(dout, xhat)
+    dg = buf.sum(axis=axes)
     db = dout.sum(axis=axes)
-    dxhat = dout * g
-    dx = (inv / n) * (
-        n * dxhat
-        - dxhat.sum(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-    )
+    # dx = (inv / n) * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)),
+    # built in dxhat's buffer; only products swap operands
+    dx = np.multiply(dout, g)
+    s1 = dx.sum(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=buf)
+    s2 = buf.sum(axis=-1, keepdims=True)
+    np.multiply(xhat, s2, out=buf)
+    dx *= n
+    dx -= s1
+    dx -= buf
+    dx *= inv / n
     return dx, dg, db
 
 
@@ -203,13 +229,18 @@ def _attn_fwd(q_in, kv_in, wq, wk, wv, wo, n_heads, key_mask, causal):
     q = _split_heads(q_in @ wq, n_heads)
     k = _split_heads(kv_in @ wk, n_heads)
     v = _split_heads(kv_in @ wv, n_heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    scores = scores + (1.0 - key_mask)[:, None, None, :] * _MASK_NEG
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(dh)
+    # One bias for both masks. Key 0 is unmasked in every row, so each
+    # row's max is an unmasked score and every masked exp is exactly 0;
+    # an unmasked score gains -0.0 either way.
+    bias = (1.0 - key_mask)[:, None, None, :] * _MASK_NEG
     if causal:
-        scores = scores + _causal_mask(tq, tk)
-    scores = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+        bias = bias + _causal_mask(tq, tk)
+    scores += bias
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    attn = np.exp(scores, out=scores)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     merged = _merge_heads(attn @ v)
     out = merged @ wo
     return out, (q_in, kv_in, q, k, v, attn, merged, wq, wk, wv, wo, n_heads)
@@ -224,8 +255,13 @@ def _attn_bwd(dout, cache):
     dctx = _split_heads(dmerged, n_heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores = dscores / math.sqrt(dh)
+    # dscores = attn * (dattn - sum(dattn * attn)) / sqrt(dh), in dattn's
+    # buffer; the product's operands swap, which is exact
+    row = np.multiply(dattn, attn).sum(axis=-1, keepdims=True)
+    dscores = dattn
+    dscores -= row
+    dscores *= attn
+    dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
@@ -233,24 +269,30 @@ def _attn_bwd(dout, cache):
     dwk = kv_in.reshape(-1, d).T @ dk_m.reshape(-1, d)
     dwv = kv_in.reshape(-1, d).T @ dv_m.reshape(-1, d)
     dq_in = dq_m @ wq.T
-    dkv_in = dk_m @ wk.T + dv_m @ wv.T
+    dkv_in = dk_m @ wk.T
+    dkv_in += dv_m @ wv.T
     return dq_in, dkv_in, dwq, dwk, dwv, dwo
 
 
 def _ffn_fwd(x, w1, b1, w2, b2):
-    h = x @ w1 + b1
-    r = np.maximum(h, 0.0)
-    return r @ w2 + b2, (x, h, r, w1, w2)
+    h = x @ w1
+    h += b1
+    # relu in h's buffer: r > 0 exactly where h > 0, so the backward
+    # pass masks with r
+    r = np.maximum(h, 0.0, out=h)
+    out = r @ w2
+    out += b2
+    return out, (x, r, w1, w2)
 
 
 def _ffn_bwd(dout, cache):
-    x, h, r, w1, w2 = cache
-    din, dff = x.shape[-1], h.shape[-1]
+    x, r, w1, w2 = cache
+    din, dff = x.shape[-1], r.shape[-1]
     lead = tuple(range(dout.ndim - 1))
     db2 = dout.sum(axis=lead)
-    dw2 = r.reshape(-1, dff).T @ dout.reshape(-1, x.shape[-1])
-    dr = dout @ w2.T
-    dh = dr * (h > 0)
+    dw2 = r.reshape(-1, dff).T @ dout.reshape(-1, din)
+    dh = dout @ w2.T
+    dh *= r > 0
     db1 = dh.sum(axis=lead)
     dw1 = x.reshape(-1, din).T @ dh.reshape(-1, dff)
     dx = dh @ w1.T
@@ -280,7 +322,10 @@ def _check_ids(cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray, limit: int, 
 
 
 def _embed_fwd(cfg, P, ids):
-    return P["embed"][ids] * math.sqrt(cfg.d_model) + _pos_table(ids.shape[1], cfg.d_model)
+    x = P["embed"][ids]
+    x *= math.sqrt(cfg.d_model)
+    x += _pos_table(ids.shape[1], cfg.d_model)
+    return x
 
 
 def _encoder_fwd(cfg, P, ids, mask):
@@ -293,10 +338,10 @@ def _encoder_fwd(cfg, P, ids, mask):
             h, h, P[pre + "attn.wq"], P[pre + "attn.wk"], P[pre + "attn.wv"],
             P[pre + "attn.wo"], cfg.n_heads, mask, causal=False,
         )
-        x = x + a
+        x += a  # no cache holds the residual stream
         h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
-        x = x + f
+        x += f
         layer_caches.append((c1, ca, c2, cf))
     out, clf = _ln_fwd(x, P["enc.lnf.g"], P["enc.lnf.b"])
     return out, (ids, layer_caches, clf)
@@ -318,19 +363,21 @@ def _encoder_bwd(cfg, dout, cache, grads):
         dxm, dg2, db2n = _ln_bwd(dh, c2)
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
-        dx = dx + dxm
+        dx += dxm
         dq_in, dkv_in, dwq, dwk, dwv, dwo = _attn_bwd(dx, ca)
         _acc(grads, pre + "attn.wq", dwq)
         _acc(grads, pre + "attn.wk", dwk)
         _acc(grads, pre + "attn.wv", dwv)
         _acc(grads, pre + "attn.wo", dwo)
-        dh1, dg1, db1n = _ln_bwd(dq_in + dkv_in, c1)
+        dq_in += dkv_in
+        dh1, dg1, db1n = _ln_bwd(dq_in, c1)
         _acc(grads, pre + "ln1.g", dg1)
         _acc(grads, pre + "ln1.b", db1n)
-        dx = dx + dh1
+        dx += dh1
     if "embed" not in grads:
         grads["embed"] = np.zeros((cfg.vocab_size, cfg.d_model))
-    np.add.at(grads["embed"], ids, dx * math.sqrt(cfg.d_model))
+    dx *= math.sqrt(cfg.d_model)
+    np.add.at(grads["embed"], ids, dx)
 
 
 def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask):
@@ -343,16 +390,16 @@ def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask):
             h, h, P[pre + "self.wq"], P[pre + "self.wk"], P[pre + "self.wv"],
             P[pre + "self.wo"], cfg.n_heads, mask, causal=True,
         )
-        x = x + a
+        x += a  # no cache holds the residual stream
         h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         a2, cc = _attn_fwd(
             h, enc_states, P[pre + "cross.wq"], P[pre + "cross.wk"], P[pre + "cross.wv"],
             P[pre + "cross.wo"], cfg.n_heads, enc_mask, causal=False,
         )
-        x = x + a2
+        x += a2
         h, c3 = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
         f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
-        x = x + f
+        x += f
         layer_caches.append((c1, cs, c2, cc, c3, cf))
     out, clf = _ln_fwd(x, P["dec.lnf.g"], P["dec.lnf.b"])
     return out, (ids, layer_caches, clf)
@@ -376,25 +423,30 @@ def _decoder_bwd(cfg, dout, cache, grads):
         dxm, dg3, db3 = _ln_bwd(dh, c3)
         _acc(grads, pre + "ln3.g", dg3)
         _acc(grads, pre + "ln3.b", db3)
-        dx = dx + dxm
+        dx += dxm
         dq_in, dkv_enc, dwq, dwk, dwv, dwo = _attn_bwd(dx, cc)
         for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
             _acc(grads, pre + "cross." + nm, g)
-        denc = dkv_enc if denc is None else denc + dkv_enc
+        if denc is None:
+            denc = dkv_enc
+        else:
+            denc += dkv_enc
         dh2, dg2, db2n = _ln_bwd(dq_in, c2)
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
-        dx = dx + dh2
+        dx += dh2
         dq_s, dkv_s, dwq, dwk, dwv, dwo = _attn_bwd(dx, cs)
         for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
             _acc(grads, pre + "self." + nm, g)
-        dh1, dg1, db1n = _ln_bwd(dq_s + dkv_s, c1)
+        dq_s += dkv_s
+        dh1, dg1, db1n = _ln_bwd(dq_s, c1)
         _acc(grads, pre + "ln1.g", dg1)
         _acc(grads, pre + "ln1.b", db1n)
-        dx = dx + dh1
+        dx += dh1
     if "embed" not in grads:
         grads["embed"] = np.zeros((cfg.vocab_size, cfg.d_model))
-    np.add.at(grads["embed"], ids, dx * math.sqrt(cfg.d_model))
+    dx *= math.sqrt(cfg.d_model)
+    np.add.at(grads["embed"], ids, dx)
     return denc if denc is not None else np.zeros(1)
 
 
@@ -618,8 +670,8 @@ def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
     )
     dec_mask = (dec_in != PAD).astype(np.float64)
     dec_states, dec_cache = _decoder_fwd(cfg, P, dec_in, dec_mask, enc_states, mask)
-    logits = dec_states @ P["embed"].T
-    logp = logits - _logsumexp(logits)
+    logp = dec_states @ P["embed"].T
+    logp -= _logsumexp(logp)
     n_tok = tmask.sum()
     b_idx = np.arange(target.shape[0])[:, None]
     t_idx = np.arange(target.shape[1])[None, :]
@@ -694,53 +746,74 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, np.ndarray]) -> No
             f.write(data.tobytes(order="C"))
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float)}
+
+
 def config_from_dict(cls, values, where: str):
-    """cls(**values), reporting a non-object, an unknown key or a
-    missing key as a ValueError that names `where`."""
+    """cls(**values), reporting a non-object, an unknown key, a missing
+    key or a value of the wrong JSON type as a ValueError that names
+    `where`. `cls` is a dataclass of int and float fields."""
     if not isinstance(values, dict):
         raise ValueError(f"{where}: expected a JSON object")
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    for f in fields(cls):
+        v = values.get(f.name)
+        # f.type is the annotation's text (postponed annotations)
+        if f.name in values and (isinstance(v, bool) or not isinstance(v, _JSON_TYPES[f.type])):
+            raise ValueError(f"{where}: {f.name} must be {f.type}, got {v!r}")
     try:
         return cls(**values)
-    except TypeError as e:  # a required key is missing
+    except (TypeError, ValueError) as e:  # a required key is missing, a value out of range
         raise ValueError(f"{where}: {e}") from e
 
 
-def _read_exact(f, n: int, path, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated {what} (expected {n} bytes, got {len(data)})")
-    return data
+def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
+    """n bytes from f, a file of `size` bytes. The claim is checked
+    against the bytes left before reading, so a corrupt length never
+    allocates what it claims."""
+    left = size - f.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated {what} (expected {n} bytes, {left} left)")
+    return f.read(n)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint. A malformed file raises ValueError
-    naming the path: bad magic, unknown config keys, truncation, bytes
+    naming the path: bad magic, a header that is not a JSON config,
+    truncation or a length claiming more bytes than are left, bytes
     after the last tensor, or a tensor missing, unknown or shaped
-    other than `init_params` makes it for the header's config."""
+    other than `param_shapes` gives for the header's config."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a model checkpoint (bad magic): {path}")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
-        header = json.loads(_read_exact(f, hlen, path, "header").decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, size, path, "header length"))
+        raw_header = _read_exact(f, hlen, size, path, "header")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: header is not UTF-8 JSON ({e})") from e
         cfg = config_from_dict(ModelConfig, header, f"{path}: checkpoint header")
-        (count,) = struct.unpack("<I", _read_exact(f, 4, path, "tensor count"))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, size, path, "tensor count"))
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(f, 2, path, "tensor name length"))
-            name = _read_exact(f, nlen, path, "tensor name").decode("utf-8")
+            (nlen,) = struct.unpack("<H", _read_exact(f, 2, size, path, "tensor name length"))
+            raw_name = _read_exact(f, nlen, size, path, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: tensor name is not UTF-8") from e
             what = f"tensor {name!r}"
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, what))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, what))
-            n_items = int(np.prod(shape)) if ndim else 1
-            data = _read_exact(f, 4 * n_items, path, what)
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, size, path, what))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size, path, what))
+            data = _read_exact(f, 4 * math.prod(shape), size, path, what)  # Python ints
             params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
-    expected = {name: arr.shape for name, arr in init_params(cfg).items()}
+    expected = param_shapes(cfg)
     missing = sorted(expected.keys() - params.keys())
     if missing:
         raise ValueError(f"{path}: missing tensor {missing[0]!r}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import EOS, SEP, DOMAIN_PREFIX, Example, Vocabulary, domain_token, tokenize
+from .corpus import EOS, SEP, DOMAIN_PREFIX, Example, Vocabulary, domain_token
 from .drf import PromptAnnotation
 from .model import ModelConfig, init_params, loss_and_grads
 
@@ -94,16 +94,16 @@ def render_generative(
     longer than the cap are truncated with EOS preserved."""
     if annotation is None:
         raise ValueError(f"example {example.id!r}: generative rendering needs an annotation")
-    text_ids = vocab.encode_tokens(tokenize(example.text))
+    text_ids = vocab.encode_text(example.text)
     if not text_ids:
         raise ValueError(f"example {example.id!r} has no tokens")
-    input_ids = ([DOMAIN_PREFIX] + text_ids)[:max_input_len]
+    input_ids = ((DOMAIN_PREFIX,) + text_ids)[:max_input_len]
     target = gold_prompt_ids(annotation, vocab, style=prompt_style) + [EOS]
     if len(target) > max_output_len:
         target = target[: max_output_len - 1] + [EOS]
     return TaskInstance(
         task="gen",
-        input_ids=tuple(input_ids),
+        input_ids=input_ids,
         target_ids=tuple(target),
         example_id=example.id,
     )
@@ -132,7 +132,7 @@ def render_discriminative(
     label_set: Sequence[str],
     max_input_len: int,
 ) -> TaskInstance:
-    text_ids = vocab.encode_tokens(tokenize(example.text))
+    text_ids = vocab.encode_text(example.text)
     if not text_ids:
         raise ValueError(f"example {example.id!r}: empty text after tokenization")
     if example.label not in label_set:
@@ -230,6 +230,12 @@ def adam_step(
 
     Math runs in float64; the returned tensors keep each parameter's
     dtype. Raises on non-finite gradients, naming the tensor.
+
+    A tensor with no state yet and an all-zero gradient is returned as
+    it is and gets no state: with both moments at zero its update is
+    exactly 0.0, and p - 0.0 == p. Once a gradient reaches it, its state
+    starts at zero, as it would have stayed under zero gradients, and
+    the bias correction uses the global step either way.
     """
     lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
     new_params: dict[str, np.ndarray] = {}
@@ -237,6 +243,9 @@ def adam_step(
     bc2 = 1.0 - ADAM_BETA2**step
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
+        if name not in state.m and not g.any():  # any() is True on NaN
+            new_params[name] = p
+            continue
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in tensor {name!r}")
         if name not in state.m:

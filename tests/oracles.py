@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive: plain loops, dicts, and
 math.log2, sharing no code path with the package. Slow and obvious
-beats fast and clever for an oracle.
+beats fast and clever for an oracle. The numpy formulas at the end are
+the in-place kernels' reference, written one fresh array per step.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def mi_bruteforce(docs_by_domain: dict[str, list[list[str]]], domain_j: str) -> dict[str, float]:
@@ -217,3 +220,119 @@ def diverse_beam_naive(
                     groups[g].append(cand)
     finished.sort(key=lambda c: (-c[1], c[0]))
     return [(ids, raw) for ids, raw, _ in finished[:top]]
+
+
+# --- out-of-place numpy formulas ------------------------------------------
+#
+# The model's layer kernels and Adam work in place. These are the same
+# formulas written one expression at a time, each step a fresh array;
+# the in-place versions must match them bit for bit.
+
+LN_EPS = 1e-5
+MASK_NEG = -1e9
+
+
+def ln_fwd_out_of_place(x, g, b):
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, xhat, inv
+
+
+def ln_bwd_out_of_place(dout, xhat, inv, g):
+    n = xhat.shape[-1]
+    axes = tuple(range(xhat.ndim - 1))
+    dg = (dout * xhat).sum(axis=axes)
+    db = dout.sum(axis=axes)
+    dxhat = dout * g
+    dx = (inv / n) * (
+        n * dxhat
+        - dxhat.sum(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def _heads(x, n_heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merged(x):
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def attn_out_of_place(q_in, kv_in, wq, wk, wv, wo, n_heads, key_mask, causal, dout):
+    """Forward output, attention weights and the six gradients, with
+    the key mask and the causal mask added one after the other."""
+    d = q_in.shape[-1]
+    dh = d // n_heads
+    tq, tk = q_in.shape[1], kv_in.shape[1]
+    q = _heads(q_in @ wq, n_heads)
+    k = _heads(kv_in @ wk, n_heads)
+    v = _heads(kv_in @ wv, n_heads)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    scores = scores + (1.0 - key_mask)[:, None, None, :] * MASK_NEG
+    if causal:
+        scores = scores + np.triu(np.ones((tq, tk)), k=1)[None, None] * MASK_NEG
+    scores = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+    merged = _merged(attn @ v)
+    out = merged @ wo
+
+    dwo = merged.reshape(-1, d).T @ dout.reshape(-1, d)
+    dctx = _heads(dout @ wo.T, n_heads)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores = dscores / math.sqrt(dh)
+    dq_m = _merged(dscores @ k)
+    dk_m = _merged(dscores.transpose(0, 1, 3, 2) @ q)
+    dv_m = _merged(dv)
+    dwq = q_in.reshape(-1, d).T @ dq_m.reshape(-1, d)
+    dwk = kv_in.reshape(-1, d).T @ dk_m.reshape(-1, d)
+    dwv = kv_in.reshape(-1, d).T @ dv_m.reshape(-1, d)
+    dq_in = dq_m @ wq.T
+    dkv_in = dk_m @ wk.T + dv_m @ wv.T
+    return out, attn, (dq_in, dkv_in, dwq, dwk, dwv, dwo)
+
+
+def ffn_out_of_place(x, w1, b1, w2, b2, dout):
+    """Forward output and (dx, dw1, db1, dw2, db2), masking the relu
+    gradient with the pre-activation."""
+    h = x @ w1 + b1
+    r = np.maximum(h, 0.0)
+    out = r @ w2 + b2
+    din, dff = x.shape[-1], h.shape[-1]
+    lead = tuple(range(dout.ndim - 1))
+    db2 = dout.sum(axis=lead)
+    dw2 = r.reshape(-1, dff).T @ dout.reshape(-1, din)
+    dh = (dout @ w2.T) * (h > 0)
+    db1 = dh.sum(axis=lead)
+    dw1 = x.reshape(-1, din).T @ dh.reshape(-1, dff)
+    return out, (dh @ w1.T, dw1, db1, dw2, db2)
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_out_of_place(params, grads, ms, vs, step, lr):
+    """One bias-corrected Adam step at learning rate lr; every tensor is
+    updated, zero-gradient or not. ms/vs are updated in place."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    out = {}
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m = ms.get(name, np.zeros_like(g))
+        v = vs.get(name, np.zeros_like(g))
+        ms[name] = m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        vs[name] = v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        out[name] = (p.astype(np.float64, copy=False) - update).astype(p.dtype)
+    return out

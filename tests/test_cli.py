@@ -2,6 +2,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pada_lab.cli import (
     UsageError,
@@ -202,6 +204,14 @@ def noda_dir(data_path, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fuzz_model_dir(noda_dir, tmp_path_factory):
+    """A copy of noda_dir that a test may damage and must restore."""
+    out = tmp_path_factory.mktemp("fuzz") / "noda"
+    shutil.copytree(noda_dir, out)
+    return out
+
+
+@pytest.fixture(scope="module")
 def pada_dir(data_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("models") / "pada"
     rc = main(["train", "--data", str(data_path), "--out", str(out),
@@ -278,6 +288,8 @@ class TestTrainPredictRoundTrip:
         ("truncated", "checkpoint.bin"),
         ("trailing", "checkpoint.bin"),
         ("tensor shape", "checkpoint.bin"),
+        ("manifest not an object", "manifest.json"),
+        ("vocab not a token list", "vocab.json"),
     ])
     def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
                                            damage, named):
@@ -293,6 +305,10 @@ class TestTrainPredictRoundTrip:
         elif damage == "tensor shape":
             # the header claims a wider FFN than the tensors hold
             edit_checkpoint_header(ckpt, lambda h: h.update(d_ffn=16))
+        elif damage == "manifest not an object":
+            (model / "manifest.json").write_text("[]\n")
+        elif damage == "vocab not a token list":
+            (model / "vocab.json").write_text('{"tokens": 5}')
         elif damage == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:-5])
         else:
@@ -304,6 +320,34 @@ class TestTrainPredictRoundTrip:
         assert err.startswith("error: ") and named in err
         assert err.count("\n") == 1
         assert not (tmp_path / "preds.jsonl").exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(damage=st.data())
+    def test_predict_survives_damaged_model_dir(self, fuzz_model_dir, data_path, damage):
+        """Truncate checkpoint.bin, manifest.json or vocab.json, or flip
+        one byte in one of them: predict exits 0 or 1, never raises, and
+        exits 1 on every truncation (a cut that drops only the manifest's
+        final newline leaves the same JSON, so cuts stop before trailing
+        whitespace)."""
+        name = damage.draw(st.sampled_from(["checkpoint.bin", "manifest.json", "vocab.json"]),
+                           label="file")
+        path = fuzz_model_dir / name
+        raw = path.read_bytes()
+        truncate = damage.draw(st.booleans(), label="truncate")
+        if truncate:
+            end = len(raw.rstrip()) if name.endswith(".json") else len(raw)
+            broken = raw[: damage.draw(st.integers(0, end - 1), label="cut")]
+        else:
+            at = damage.draw(st.integers(0, len(raw) - 1), label="offset")
+            flip = damage.draw(st.integers(1, 255), label="xor")
+            broken = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+        path.write_bytes(broken)
+        try:
+            rc = main(["predict", "--model-dir", str(fuzz_model_dir), "--data", str(data_path),
+                       "--out", str(fuzz_model_dir.parent / "preds.jsonl")])
+        finally:
+            path.write_bytes(raw)
+        assert rc == 1 if truncate else rc in (0, 1)
 
     def test_predict_pair_input_joined(self, noda_dir, tmp_path):
         data = tmp_path / "pairs.jsonl"

@@ -1,13 +1,23 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pada_lab.corpus import BOS, EOS, PAD
 from pada_lab.model import (
+    CHECKPOINT_MAGIC,
     ModelConfig,
+    _attn_bwd,
+    _attn_fwd,
     _decoder_fwd,
     _f64,
     _classify_bwd,
     _classify_fwd,
+    _ffn_bwd,
+    _ffn_fwd,
+    _ln_bwd,
+    _ln_fwd,
     _logsumexp,
     advance_decoder,
     classify,
@@ -22,6 +32,7 @@ from pada_lab.model import (
     start_decoder,
 )
 from pada_lab.training import TaskInstance
+from tests import oracles
 from tests.conftest import edit_checkpoint_header
 
 
@@ -246,6 +257,85 @@ class TestDecodeStep:
             seqs = np.concatenate([seqs[parents], tokens[:, None]], axis=1)
 
 
+def assert_bitwise(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def padded_mask(rng, n_rows, width):
+    """1/0 key mask with random right padding; key 0 always attended."""
+    lengths = rng.integers(1, width + 1, size=n_rows)
+    lengths[0] = width
+    return (np.arange(width)[None, :] < lengths[:, None]).astype(np.float64)
+
+
+class TestInPlaceKernels:
+    """The layer kernels work in place; they must equal the out-of-place
+    formulas in tests/oracles.py bit for bit, on inputs wide enough that
+    summing in another order changes the last bits."""
+
+    @pytest.mark.parametrize("shape", [(4, 9, 20), (40, 24), (3, 5, 64)])
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(scale=3.0, size=shape) + 1.5
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        dout = rng.normal(size=shape)
+        x_before = x.copy()
+        out, cache = _ln_fwd(x, g, b)
+        want_out, want_xhat, want_inv = oracles.ln_fwd_out_of_place(x, g, b)
+        assert_bitwise(x, x_before, "input kept")
+        assert_bitwise(out, want_out, "out")
+        assert_bitwise(cache[0], want_xhat, "xhat")
+        assert_bitwise(cache[1], want_inv, "inv")
+        dout_before = dout.copy()
+        got = _ln_bwd(dout, cache)
+        want = oracles.ln_bwd_out_of_place(dout, want_xhat, want_inv, g)
+        assert_bitwise(dout, dout_before, "dout kept")
+        for name, gv, wv in zip(("dx", "dg", "db"), got, want):
+            assert_bitwise(gv, wv, name)
+
+    @pytest.mark.parametrize("tq,tk,causal", [
+        (9, 9, True),    # decoder self-attention: causal plus key padding
+        (9, 9, False),   # encoder self-attention: key padding
+        (5, 11, False),  # cross-attention, Tq != Tk
+        (1, 6, False),
+    ])
+    def test_attention(self, tq, tk, causal):
+        rng = np.random.default_rng(100 * tq + tk)
+        n_b, d, n_heads = 4, 16, 4
+        q_in = rng.normal(size=(n_b, tq, d))
+        kv_in = q_in if tq == tk else rng.normal(size=(n_b, tk, d))
+        ws = [rng.normal(scale=0.5, size=(d, d)) for _ in range(4)]
+        mask = padded_mask(rng, n_b, tk)
+        dout = rng.normal(size=(n_b, tq, d))
+        out, cache = _attn_fwd(q_in, kv_in, *ws, n_heads, mask, causal)
+        want_out, want_attn, want_grads = oracles.attn_out_of_place(
+            q_in, kv_in, *ws, n_heads, mask, causal, dout)
+        assert_bitwise(out, want_out, "out")
+        assert_bitwise(cache[5], want_attn, "attn")
+        # the premise of the single bias: masked weights are exactly 0
+        assert not np.where(mask[:, None, None, :] == 0, cache[5], 0.0).any()
+        got = _attn_bwd(dout, cache)
+        for name, gv, wv in zip(("dq_in", "dkv_in", "dwq", "dwk", "dwv", "dwo"), got, want_grads):
+            assert_bitwise(gv, wv, name)
+
+    @pytest.mark.parametrize("shape", [(3, 7, 16), (6, 16)])
+    def test_ffn(self, shape):
+        rng = np.random.default_rng(len(shape))
+        d, d_ff = shape[-1], 24
+        x = rng.normal(size=shape)
+        w1, w2 = rng.normal(size=(d, d_ff)), rng.normal(size=(d_ff, d))
+        b1, b2 = rng.normal(size=d_ff), rng.normal(size=d)
+        dout = rng.normal(size=shape)
+        out, cache = _ffn_fwd(x, w1, b1, w2, b2)
+        want_out, want_grads = oracles.ffn_out_of_place(x, w1, b1, w2, b2, dout)
+        assert_bitwise(out, want_out, "out")
+        got = _ffn_bwd(dout, cache)
+        for name, gv, wv in zip(("dx", "dw1", "db1", "dw2", "db2"), got, want_grads):
+            assert_bitwise(gv, wv, name)
+
+
 def disc_batch(cfg, seqs, classes):
     return [
         TaskInstance(task="disc", input_ids=tuple(s), example_id=f"d{i}", target_class=c)
@@ -439,6 +529,69 @@ class TestCheckpoints:
             load_checkpoint(path)
         save_checkpoint(path, cfg, {**p, "extra": np.zeros(2, dtype=np.float32)})
         with pytest.raises(ValueError, match=r"model\.bin: unknown tensor 'extra'"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def set_first_shape(path, dims):
+        """Overwrite the first tensor's (embed's) two shape fields."""
+        raw = bytearray(path.read_bytes())
+        start = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", raw[start : start + 4])
+        at = start + 4 + hlen + 4 + 2 + len(b"embed") + 1
+        raw[at : at + 8] = struct.pack("<2I", *dims)
+        path.write_bytes(bytes(raw))
+
+    def test_shape_claim_counted_without_wrapping(self, tmp_path):
+        # (2^32 - 1)^2 elements overflow int64; the claim must stay exact
+        path = self.saved(tmp_path)
+        self.set_first_shape(path, (2**32 - 1, 2**32 - 1))
+        claim = 4 * (2**32 - 1) ** 2
+        with pytest.raises(ValueError, match=rf"model\.bin: truncated tensor 'embed' \(expected {claim} bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("claim", ["header", "tensor"])
+    def test_claim_checked_before_reading(self, tmp_path, claim):
+        path = self.saved(tmp_path)
+        if claim == "header":
+            raw = bytearray(path.read_bytes())
+            start = len(CHECKPOINT_MAGIC)
+            raw[start : start + 4] = struct.pack("<I", 3_000_000)
+            path.write_bytes(bytes(raw))
+            message = r"model\.bin: truncated header \(expected 3000000 bytes"
+        else:
+            self.set_first_shape(path, (1000, 1000))
+            message = r"model\.bin: truncated tensor 'embed' \(expected 4000000 bytes"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the claim was never allocated
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.update(d_model=8.0), r"d_model must be int, got 8\.0"),
+        (lambda h: h.update(seed=True), r"seed must be int, got True"),
+        (lambda h: h.update(n_heads=0), r"n_heads must be positive"),
+        (lambda h: h.update(d_ffn=-8), r"d_ffn must be positive"),
+    ])
+    def test_header_values_checked(self, tmp_path, edit, message):
+        path = self.saved(tmp_path)
+        edit_checkpoint_header(path, edit)
+        with pytest.raises(ValueError, match=r"model\.bin: checkpoint header: " + message):
+            load_checkpoint(path)
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[len(CHECKPOINT_MAGIC) + 4] = 0xFF  # the header's opening brace
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"model\.bin: header is not UTF-8 JSON"):
+            load_checkpoint(path)
+        raw[len(CHECKPOINT_MAGIC) + 4] = ord("[")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"model\.bin: header is not UTF-8 JSON"):
             load_checkpoint(path)
 
     def test_size_grows_with_vocab(self, tmp_path):

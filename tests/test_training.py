@@ -5,8 +5,6 @@ from pada_lab.corpus import DOMAIN_PREFIX, EOS, SEP, Example, Vocabulary
 from pada_lab.drf import PromptAnnotation
 from pada_lab.model import ModelConfig
 from pada_lab.training import (
-    ADAM_BETA1,
-    ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     TaskInstance,
@@ -21,6 +19,7 @@ from pada_lab.training import (
     task_batches,
     train,
 )
+from tests import oracles
 
 VOCAB = Vocabulary.from_tokens(["rivers", "delta", "basin", "flow", "stone", "mud"])
 LABELS = ("neg", "pos")
@@ -274,21 +273,6 @@ class TestAdam:
         assert np.abs(params["w"]).max() < 1e-6
 
     def test_bitwise_equal_to_out_of_place_formula(self):
-        def reference(params, grads, ms, vs, step, cfg, total_steps, warmup_steps):
-            lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            out = {}
-            for name, p in params.items():
-                g = np.asarray(grads[name], dtype=np.float64)
-                m = ms.get(name, np.zeros_like(g))
-                v = vs.get(name, np.zeros_like(g))
-                ms[name] = m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                vs[name] = v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-                update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-                out[name] = (p.astype(np.float64, copy=False) - update).astype(p.dtype)
-            return out
-
         rng = np.random.default_rng(0)
         cfg = TrainConfig(lr=0.01)
         shapes = {"a.w": (3, 4), "b": (5,), "c.w": (2, 3, 2), "s": ()}
@@ -303,7 +287,7 @@ class TestAdam:
             given = {k: v.copy() for k, v in params.items()}
             given_grads = {k: v.copy() for k, v in grads.items()}
             new, state = adam_step(params, grads, state, step, cfg, 20, 3)
-            want = reference(want, grads, ms, vs, step, cfg, 20, 3)
+            want = oracles.adam_out_of_place(want, grads, ms, vs, step, lr_at(step, 20, 3, cfg.lr))
             for k in shapes:
                 assert params[k].tobytes() == given[k].tobytes(), k
                 assert grads[k].tobytes() == given_grads[k].tobytes(), k
@@ -312,6 +296,33 @@ class TestAdam:
                 assert state.m[k].tobytes() == ms[k].tobytes(), (step, k)
                 assert state.v[k].tobytes() == vs[k].tobytes(), (step, k)
             params = new
+
+    def test_zero_gradient_without_state_is_skipped_exactly(self):
+        # "dec" gets all-zero gradients (both signs of zero) for six
+        # steps, then real ones; "enc" gets real ones throughout
+        rng = np.random.default_rng(1)
+        cfg = TrainConfig(lr=0.01)
+        dec = rng.normal(size=(3, 4)).astype(np.float32)
+        dec[0, :2] = [0.0, -0.0]
+        params = {"enc": rng.normal(size=5).astype(np.float32), "dec": dec}
+        want, ms, vs = dict(params), {}, {}
+        state = AdamState()
+        for step in range(1, 13):
+            grads = {"enc": rng.normal(size=5), "dec": rng.normal(size=(3, 4))}
+            if step <= 6:
+                grads["dec"] = np.where(rng.random((3, 4)) < 0.5, 0.0, -0.0)
+            new, state = adam_step(params, grads, state, step, cfg, 12, 2)
+            want = oracles.adam_out_of_place(want, grads, ms, vs, step, lr_at(step, 12, 2, cfg.lr))
+            if step <= 6:
+                assert new["dec"] is params["dec"]
+                assert "dec" not in state.m and "dec" not in state.v
+            for k in params:
+                assert new[k].tobytes() == want[k].tobytes(), (step, k)
+            for k in state.m:
+                assert state.m[k].tobytes() == ms[k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == vs[k].tobytes(), (step, k)
+            params = new
+        assert set(state.m) == {"enc", "dec"}
 
     def test_non_finite_gradient_names_the_tensor(self):
         cfg = TrainConfig()
