@@ -52,6 +52,8 @@ def classify_many(
             raise ValueError(f"example {ex.id!r} has no tokens")
         prompt = prompts[i] if prompts is not None else ()
         inputs.append(build_disc_input(prompt, text_ids, model_cfg.max_input_len))
+    if not inputs:
+        return np.zeros((0, model_cfg.n_classes))
     # upcast once here, so encode and classify convert nothing per batch
     P = _f64(params)
     out = []

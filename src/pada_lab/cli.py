@@ -42,7 +42,7 @@ from .harness import (
     variant_probs,
     write_aggregate_csv,
 )
-from .inference import generate_candidates
+from .inference import generate_candidates_many
 from .model import _f64
 
 
@@ -370,11 +370,9 @@ def _cmd_predict(merged: dict, rc_hash: str) -> int:
 
     candidate_lists = None
     if trained.model == "pada":
-        params = _f64(trained.params)  # once, not once per example
-        candidate_lists = [
-            generate_candidates(trained.model_cfg, params, trained.vocab, ex, beam_cfg)
-            for ex in examples
-        ]
+        params = _f64(trained.params)  # once, not once per call
+        candidate_lists = generate_candidates_many(
+            trained.model_cfg, params, trained.vocab, examples, beam_cfg)
         from .baselines import classify_many
 
         probs = classify_many(

@@ -48,7 +48,7 @@ from .drf import (
     extract_drf_set,
     save_profile,
 )
-from .inference import BeamConfig, GeneratedPrompt, generate_prompt
+from .inference import BeamConfig, GeneratedPrompt, generate_candidates_many
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, _f64, config_from_dict, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -205,10 +205,12 @@ def pada_predict_many(
     examples: Sequence[Example],
     beam_cfg: BeamConfig,
 ) -> tuple[np.ndarray, list[GeneratedPrompt]]:
-    """Two-step prediction for a batch: per-example prompt generation,
-    then one batched classification over prompt + SEP + text."""
+    """Two-step prediction for a batch: prompt generation, decoding the
+    examples of one input length together, then one batched
+    classification over prompt + SEP + text."""
     params = _f64(params)  # once per request, not once per model call
-    prompts = [generate_prompt(model_cfg, params, vocab, ex, beam_cfg) for ex in examples]
+    prompts = [cands[0] for cands in
+               generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)]
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[p.prompt_ids for p in prompts]
     )

@@ -11,16 +11,40 @@ it keeps every row's self-attention keys and values and the encoder's
 cross-attention keys and values, so a step costs one token per row
 rather than a re-run over the whole prefix. The second step,
 classifying prompt + SEP + text, is `harness.pada_predict_many`.
+
+One search decodes up to SEARCH_EXAMPLES examples of one input length
+together (`generate_candidates_many`), and each example's hypotheses
+are bitwise those of decoding it alone. That holds because every
+product in the decoder step is computed per row, except one: the
+vocabulary projection is a 2-D matrix product, and BLAS may round a row
+differently with a different row count. So it runs once per example, on
+that example's rows, in the order a one-example search would hold them.
+Examples are bucketed by input length, never padded, because padding
+lengthens the attention sums over the keys and so regroups their
+rounding. Each example's cross-attention keys and values broadcast over
+its rows, never copied per row; with one example the decoder runs its
+one-input step (no grid, one projection), so a one-example request
+costs about what it did before batching. The cap on examples per search
+bounds the self-attention keys and values a search holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary
-from .model import ModelConfig, _f64, advance_decoder, encode, pad_batch, start_decoder
+from .model import ModelConfig, _f64, advance_decoder, encode, start_decoder
+
+
+# Most examples decoded in one search. The search holds every row's
+# self-attention keys and values, so this bounds its memory whatever
+# the number of examples; on a 150-example set, 16 decodes as fast as
+# 32 or 64 with about half or a quarter of the peak memory.
+SEARCH_EXAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -38,8 +62,8 @@ class BeamConfig:
             raise ValueError(
                 f"beam_size {self.beam_size} is not divisible by num_groups {self.num_groups}"
             )
-        if self.diversity_penalty < 0:
-            raise ValueError("diversity_penalty must be non-negative")
+        if not 0.0 <= self.diversity_penalty < math.inf:
+            raise ValueError("diversity_penalty must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -53,35 +77,143 @@ class Hypothesis:
         return bool(self.ids) and self.ids[-1] == EOS
 
 
-def _extend(hyps, logp, penalties, width) -> tuple[list[Hypothesis], list[int]]:
-    """Top `width` one-token extensions by penalized score, and the row
-    of `hyps` each one extends. Ties break toward the lexicographically
-    smaller id sequence."""
-    base = np.array([h.penalized_score for h in hyps])
-    scores = (base[:, None] + (logp - penalties)).ravel()
-    # Only candidates scoring at least the width-th best can be kept,
-    # so just those become hypotheses (ties at the cut included).
-    if scores.size > width:
-        cut = np.partition(scores, scores.size - width)[scores.size - width]
-        picked = np.flatnonzero(scores >= cut)
+def _extend(pen, logp, penalties, counts, rank, width):
+    """The top `width` one-token extensions of each input's rows, for
+    the rows of one group across inputs. Row i has penalized score
+    pen[i] and token log-probabilities logp[i], less penalties[i]; an
+    input's rows are adjacent, and the list `counts` holds each input's
+    row count in order. rank orders the rows of one input by their id
+    sequences.
+
+    An input keeps its best `width` extensions by penalized score, ties
+    broken toward the lexicographically smaller id sequence. Returns
+    the kept (row, token, penalized score) arrays, in no particular
+    order."""
+    scores = pen[:, None] + (logp - penalties)
+    n, n_tok = scores.shape
+    n_in, most = len(counts), max(counts)
+    k = max(most * n_tok - width, 0)
+    # Only candidates scoring at least an input's width-th best can be
+    # kept (ties at the cut included).
+    if n == n_in * most:
+        # every input has `most` rows, so its candidates are one row of flat
+        flat = scores.reshape(n_in, -1)
+        part = flat.copy()
+        part.partition(k, axis=1)
+        rows, toks = (flat >= part[:, k, None]).reshape(n, n_tok).nonzero()
+        if len(rows) <= width * n_in:  # no input has more than width picks
+            return rows, toks, scores[rows, toks]
+        ex = rows // most
     else:
-        picked = range(scores.size)
-    n_tok = logp.shape[1]
-    pool = []
-    for i in picked:
-        row, tok = divmod(int(i), n_tok)
-        h = hyps[row]
-        pool.append((
-            Hypothesis(
-                ids=h.ids + (tok,),
-                raw_score=h.raw_score + float(logp[row, tok]),
-                penalized_score=float(scores[i]),
-            ),
-            row,
-        ))
-    pool.sort(key=lambda pair: (-pair[0].penalized_score, pair[0].ids))
-    kept = pool[:width]
-    return [h for h, _ in kept], [row for _, row in kept]
+        # For the cut, inputs with fewer rows are padded with -inf, which
+        # never raises it; the picks come from the real rows alone, so no
+        # padded slot is ever kept.
+        local = np.repeat(np.arange(n_in), counts)
+        flat = np.full((n_in, most, n_tok), -np.inf)
+        flat[local, np.arange(n) - np.cumsum([0] + counts[:-1])[local]] = scores
+        cut = np.partition(flat.reshape(n_in, -1), k, axis=1)[:, k]
+        rows, toks = (scores >= cut[local][:, None]).nonzero()
+        ex = local[rows]
+    kept = scores[rows, toks]
+    # an input may have more than width picks: keep its best width
+    order = np.lexsort((toks, rank[rows], -kept, ex))
+    ex = ex[order]
+    order = order[np.arange(len(order)) - np.searchsorted(ex, ex) < width]
+    return rows[order], toks[order], kept[order]
+
+
+def diverse_beam_search_many(
+    model_cfg: ModelConfig,
+    params: dict,
+    enc_states: np.ndarray,
+    enc_mask: np.ndarray,
+    cfg: BeamConfig,
+) -> list[list[Hypothesis]]:
+    """Decode each of E encoded inputs of one length into
+    `num_candidates` hypotheses; each input's list is exactly what
+    `diverse_beam_search` returns for it alone.
+
+    Groups advance in a fixed order each step; a group's token scores
+    are reduced by diversity_penalty times the number of times earlier
+    groups emitted that token at this same step for the same input.
+    Within a group an ordinary beam on cumulative penalized score
+    applies. Every hypothesis ends with EOS (forced at the length cap).
+
+    The penalty changes which extensions are kept, never the
+    log-probabilities, and every group's prefixes are fixed before any
+    group selects; so each step feeds the unfinished hypotheses of all
+    inputs and groups to the incremental decoder at once, and the groups
+    then select in order, each across all inputs.
+    """
+    P = _f64(params)
+    n_in = enc_states.shape[0]
+    n_groups = cfg.num_groups
+    max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
+    group_width = cfg.beam_size // n_groups
+    n_tok = model_cfg.vocab_size
+
+    # The beam holds the unfinished hypotheses by group, then input,
+    # then kept order, so each group is one slice, and row r of the
+    # decoder state holds the prefix of entry r: an input's rows keep
+    # the order of a one-input search. Per entry: its (group, input)
+    # key, its ids so far, its raw and penalized scores, and a rank that
+    # orders by ids the entries of one key.
+    key = np.arange(n_groups * n_in)  # group * n_in + input
+    ids = np.zeros((len(key), 0), dtype=np.int64)
+    raw = pen = np.zeros(len(key))
+    rank = np.zeros(len(key), dtype=np.int64)
+    parents = key % n_in  # the start state has one row per input
+    tokens = np.full(len(key), BOS, dtype=np.int64)
+    state = start_decoder(model_cfg, P, enc_states, enc_mask)
+    finished: list[list] = [[] for _ in range(n_in)]
+
+    for step in range(max_len):
+        if not parents.size:
+            break
+        example = key % n_in
+        state, logp = advance_decoder(model_cfg, P, state, parents, tokens, example)
+        if step == max_len - 1:
+            forced = np.full_like(logp, -np.inf)
+            forced[:, EOS] = logp[:, EOS]
+            logp = forced
+        sizes = np.bincount(key, minlength=n_groups * n_in).reshape(n_groups, n_in).tolist()
+        emitted = np.zeros((n_in, n_tok))
+        parts = []
+        hi = 0
+        for g in range(n_groups):
+            lo, hi = hi, hi + sum(sizes[g])
+            if lo == hi:
+                continue
+            ex = example[lo:hi]
+            picked, toks, scores = _extend(
+                pen[lo:hi], logp[lo:hi], cfg.diversity_penalty * emitted[ex],
+                [c for c in sizes[g] if c], rank[lo:hi], group_width)
+            np.add.at(emitted, (ex[picked], toks), 1.0)
+            parts.append((picked + lo, toks, scores))
+        src, toks, scores = (np.concatenate(p) for p in zip(*parts))
+        # a child's ids are its parent's plus one token: renumber densely
+        rank = np.argsort(np.argsort(rank[src] * n_tok + toks))
+        done = toks == EOS
+        # unfinished first, then finished; each key in kept order: best
+        # first, ties by ids
+        order = np.lexsort((rank, -scores, key[src], done))
+        src, toks, scores, rank = src[order], toks[order], scores[order], rank[order]
+        raws = raw[src] + logp[src, toks]
+        ids = np.concatenate((ids[src], toks[:, None]), axis=1)
+        n_live = len(done) - int(np.count_nonzero(done))
+        for e, seq, r, p in zip(example[src[n_live:]].tolist(), ids[n_live:].tolist(),
+                                raws[n_live:].tolist(), scores[n_live:].tolist()):
+            finished[e].append((tuple(seq), r, p))
+        parents, tokens = src[:n_live], toks[:n_live]
+        key, ids, raw, pen, rank = key[parents], ids[:n_live], raws[:n_live], scores[:n_live], rank[:n_live]
+
+    out = []
+    for hyps in finished:
+        if not hyps:
+            raise RuntimeError("no finished hypotheses")
+        hyps.sort(key=lambda h: (-h[1], h[0]))
+        out.append([Hypothesis(*h) for h in hyps[: cfg.num_candidates]])
+    return out
 
 
 def diverse_beam_search(
@@ -91,71 +223,11 @@ def diverse_beam_search(
     enc_mask: np.ndarray,
     cfg: BeamConfig,
 ) -> list[Hypothesis]:
-    """Decode one encoded input into `num_candidates` hypotheses.
-
-    Groups advance in a fixed order each step; a group's token scores
-    are reduced by diversity_penalty times the number of times earlier
-    groups emitted that token at this same step. Within a group an
-    ordinary beam on cumulative penalized score applies. Every
-    hypothesis ends with EOS (forced at the length cap).
-
-    The penalty changes which extensions are kept, never the
-    log-probabilities, and every group's prefixes are fixed before any
-    group selects; so each step feeds the unfinished hypotheses of all
-    groups to the incremental decoder at once, and the groups then
-    select in order from their slices of the result.
-    """
+    """Decode one encoded input into `num_candidates` hypotheses (see
+    `diverse_beam_search_many`)."""
     if enc_states.shape[0] != 1:
         raise ValueError("decode one input at a time")
-    P = _f64(params)
-    max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
-    group_width = cfg.beam_size // cfg.num_groups
-
-    # each group's unfinished hypotheses; row r of the decoder state
-    # holds the prefix of the r-th of them across groups, in group order
-    groups: list[list[Hypothesis]] = [
-        [Hypothesis(ids=(), raw_score=0.0, penalized_score=0.0)]
-        for _ in range(cfg.num_groups)
-    ]
-    parents = np.zeros(cfg.num_groups, dtype=np.int64)
-    tokens = np.full(cfg.num_groups, BOS, dtype=np.int64)
-    state = start_decoder(model_cfg, P, enc_states, enc_mask)
-    finished: list[Hypothesis] = []
-
-    for step in range(max_len):
-        if not parents.size:
-            break
-        state, logp = advance_decoder(model_cfg, P, state, parents, tokens)
-        if step == max_len - 1:
-            forced = np.full_like(logp, -np.inf)
-            forced[:, EOS] = logp[:, EOS]
-            logp = forced
-        emitted = np.zeros(model_cfg.vocab_size)
-        next_parents: list[int] = []
-        start = 0
-        for g, active in enumerate(groups):
-            if not active:
-                continue
-            extended, rows = _extend(
-                active, logp[start : start + len(active)],
-                cfg.diversity_penalty * emitted, group_width,
-            )
-            groups[g] = []
-            for h, row in zip(extended, rows):
-                emitted[h.ids[-1]] += 1.0
-                if h.finished:
-                    finished.append(h)
-                else:
-                    groups[g].append(h)
-                    next_parents.append(start + row)
-            start += len(active)
-        parents = np.array(next_parents, dtype=np.int64)
-        tokens = np.array([h.ids[-1] for active in groups for h in active], dtype=np.int64)
-
-    finished.sort(key=lambda h: (-h.raw_score, h.ids))
-    if not finished:
-        raise RuntimeError("no finished hypotheses")
-    return finished[: cfg.num_candidates]
+    return diverse_beam_search_many(model_cfg, params, enc_states, enc_mask, cfg)[0]
 
 
 def beam_search(
@@ -193,30 +265,10 @@ class GeneratedPrompt:
         return self.ids[:-1] if self.ids and self.ids[-1] == EOS else self.ids
 
 
-def encode_for_generation(
-    model_cfg: ModelConfig, params: dict, vocab: Vocabulary, example: Example
-):
-    text_ids = vocab.encode_text(example.text)
-    if not text_ids:
-        raise ValueError(f"example {example.id!r} has no tokens")
-    ids, mask = pad_batch([((DOMAIN_PREFIX,) + text_ids)[: model_cfg.max_input_len]])
-    return encode(model_cfg, params, ids, mask), mask
-
-
-def generate_candidates(
-    model_cfg: ModelConfig,
-    params: dict,
-    vocab: Vocabulary,
-    example: Example,
-    beam_cfg: BeamConfig | None = None,
-) -> list[GeneratedPrompt]:
-    """All decoded prompt candidates for one example, best first. A
-    best candidate that decoded to bare EOS falls back to a single
-    unknown-token prompt so downstream input construction still sees a
-    non-empty prompt, and says so."""
-    beam_cfg = beam_cfg if beam_cfg is not None else BeamConfig()
-    enc_states, enc_mask = encode_for_generation(model_cfg, params, vocab, example)
-    hyps = diverse_beam_search(model_cfg, params, enc_states, enc_mask, beam_cfg)
+def _prompts(vocab: Vocabulary, hyps: list[Hypothesis]) -> list[GeneratedPrompt]:
+    """Decoded hypotheses as prompts. A best candidate that decoded to
+    bare EOS falls back to a single unknown-token prompt so downstream
+    input construction still sees a non-empty prompt, and says so."""
     out = []
     for rank, h in enumerate(hyps):
         if rank == 0 and len(h.ids) <= 1:
@@ -237,6 +289,52 @@ def generate_candidates(
             )
         )
     return out
+
+
+def generate_candidates_many(
+    model_cfg: ModelConfig,
+    params: dict,
+    vocab: Vocabulary,
+    examples: Sequence[Example],
+    beam_cfg: BeamConfig | None = None,
+) -> list[list[GeneratedPrompt]]:
+    """All decoded prompt candidates for each example, best first, in
+    input order. Examples are bucketed by their truncated input length;
+    up to SEARCH_EXAMPLES examples of a bucket are encoded in one
+    unpadded call and decoded as one search, so every example gets the
+    bits of its own search."""
+    beam_cfg = beam_cfg if beam_cfg is not None else BeamConfig()
+    P = _f64(params)
+    buckets: dict[int, list[int]] = {}
+    inputs = []
+    for i, ex in enumerate(examples):
+        text_ids = vocab.encode_text(ex.text)
+        if not text_ids:
+            raise ValueError(f"example {ex.id!r} has no tokens")
+        inputs.append(((DOMAIN_PREFIX,) + text_ids)[: model_cfg.max_input_len])
+        buckets.setdefault(len(inputs[-1]), []).append(i)
+    out: list = [None] * len(examples)
+    for members in buckets.values():
+        for at in range(0, len(members), SEARCH_EXAMPLES):
+            chunk = members[at : at + SEARCH_EXAMPLES]
+            ids = np.array([inputs[i] for i in chunk], dtype=np.int64)
+            mask = np.ones(ids.shape)
+            enc_states = encode(model_cfg, P, ids, mask)
+            hyp_lists = diverse_beam_search_many(model_cfg, P, enc_states, mask, beam_cfg)
+            for i, hyps in zip(chunk, hyp_lists):
+                out[i] = _prompts(vocab, hyps)
+    return out
+
+
+def generate_candidates(
+    model_cfg: ModelConfig,
+    params: dict,
+    vocab: Vocabulary,
+    example: Example,
+    beam_cfg: BeamConfig | None = None,
+) -> list[GeneratedPrompt]:
+    """All decoded prompt candidates for one example, best first."""
+    return generate_candidates_many(model_cfg, params, vocab, [example], beam_cfg)[0]
 
 
 def generate_prompt(

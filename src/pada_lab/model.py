@@ -536,8 +536,8 @@ def classify_tokens(cfg: ModelConfig, params: dict, id_seqs) -> np.ndarray:
 
 
 class DecoderState(NamedTuple):
-    """Incremental decoding of R rows over one encoder batch of B rows
-    (B is 1 or R; cross-attention broadcasts over rows).
+    """Incremental decoding of R rows over one encoder batch of B rows;
+    `advance_decoder` is told which encoder row each row reads.
 
     cross: per layer, the encoder states' cross-attention keys
     [B,H,dh,Tk] (pre-transposed) and values [B,H,Tk,dh], projected once.
@@ -569,16 +569,28 @@ def start_decoder(cfg: ModelConfig, P: dict, enc_states, enc_mask) -> DecoderSta
 
 
 def _attend(q, kt, v, bias=None):
-    # q [R,H,1,dh], kt [.,H,dh,Tk], v [.,H,Tk,dh] -> merged context [R,1,D]
+    # q [..,H,1,dh], kt [..,H,dh,Tk], v [..,H,Tk,dh] -> context [..,H,1,dh];
+    # every product is one (row, head) block, so leading dims batch exactly
     scores = q @ kt / math.sqrt(q.shape[-1])
     if bias is not None:
         scores = scores + bias
     scores = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(scores)
-    return _merge_heads((e / np.add.reduce(e, axis=-1, keepdims=True)) @ v)
+    return (e / np.add.reduce(e, axis=-1, keepdims=True)) @ v
 
 
-def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tokens):
+def _attend_inputs(q, kt, v, bias, example, slot, width):
+    """Cross-attention of rows q [R,H,1,dh] to the encoder rows
+    `example` names, with kt, v and bias stacked over B encoder rows.
+    Row r sits at [example[r], slot[r]] of a [B, width] grid, so the
+    keys and values broadcast per input and are never copied per row."""
+    grid = np.zeros((len(kt), width) + q.shape[1:])
+    grid[example, slot] = q
+    return _attend(grid, kt[:, None], v[:, None], bias[:, None])[example, slot]
+
+
+def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tokens,
+                    example=None):
     """Feed one token to each of R rows; row r continues the prefix of
     row parents[r] of `state`, so reordering a beam is one fancy index
     per layer. Returns the new state and next-token log-probabilities
@@ -587,11 +599,27 @@ def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tok
     Per row this is the last position of `_decoder_fwd` over the whole
     prefix: earlier positions are causal-masked from later ones, so
     their keys and values never change once computed.
+
+    With B > 1 encoder rows, `example` [R] is the encoder row each row
+    reads (by default row r). Every product is per row except the
+    vocabulary projection, a 2-D product whose bits depend on its row
+    count, so it runs once per input on that input's rows, in their
+    order: each row gets the bits it would get if its input were
+    decoded alone with its rows in the same order. With B == 1 every
+    row reads the one input, and the projection is one product.
     """
     if state.length >= cfg.max_output_len:
         raise ValueError(f"prefix exceeds max_output_len={cfg.max_output_len}")
     tokens = np.asarray(tokens, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
+    n_b = len(state.enc_bias)
+    if n_b > 1:
+        example = np.arange(len(tokens)) if example is None else np.asarray(example, dtype=np.int64)
+        # each input's rows in order, and each row's place among them
+        by_input = np.argsort(example, kind="stable")
+        counts = np.bincount(example, minlength=n_b)
+        slot = np.empty_like(by_input)
+        slot[by_input] = np.arange(len(tokens)) - np.repeat(np.cumsum(counts) - counts, counts)
     H = cfg.n_heads
     x = (P["embed"][tokens] * math.sqrt(cfg.d_model)
          + _pos_table(cfg.max_output_len, cfg.d_model)[state.length])[:, None, :]
@@ -605,16 +633,26 @@ def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tok
         v = np.concatenate((v_old[parents], _split_heads(h @ P[pre + "self.wv"], H)), axis=2)
         self_kv.append((k, v))
         # no mask: the newest token sees every consumed one
-        x = x + _attend(q, k.transpose(0, 1, 3, 2), v) @ P[pre + "self.wo"]
+        x = x + _merge_heads(_attend(q, k.transpose(0, 1, 3, 2), v)) @ P[pre + "self.wo"]
         h, _ = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         kt, v = state.cross[i]
         q = _split_heads(h @ P[pre + "cross.wq"], H)
-        x = x + _attend(q, kt, v, state.enc_bias) @ P[pre + "cross.wo"]
+        if n_b == 1:
+            ctx = _attend(q, kt, v, state.enc_bias)
+        else:
+            ctx = _attend_inputs(q, kt, v, state.enc_bias, example, slot, int(counts.max()))
+        x = x + _merge_heads(ctx) @ P[pre + "cross.wo"]
         h, _ = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
         f, _ = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
         x = x + f
     out, _ = _ln_fwd(x[:, 0, :], P["dec.lnf.g"], P["dec.lnf.b"])
-    logits = out @ P["embed"].T
+    if n_b == 1:
+        logits = out @ P["embed"].T
+    else:
+        logits = np.empty((len(tokens), cfg.vocab_size))
+        for rows in np.split(by_input, np.cumsum(counts)[:-1]):
+            if rows.size:
+                logits[rows] = out[rows] @ P["embed"].T
     new = DecoderState(state.cross, state.enc_bias, tuple(self_kv), state.length + 1)
     return new, logits - _logsumexp(logits)
 

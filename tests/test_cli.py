@@ -14,8 +14,10 @@ from pada_lab.cli import (
     merge_config,
     read_config_file,
 )
-from pada_lab.corpus import ingest_jsonl
-from pada_lab.harness import ExperimentConfig, build_artifacts
+from pada_lab.baselines import classify_many
+from pada_lab.corpus import Example, ingest_jsonl
+from pada_lab.harness import ExperimentConfig, build_artifacts, load_model_dir
+from pada_lab.inference import generate_candidates
 from tests.conftest import edit_checkpoint_header
 
 TINY_MODEL_FLAGS = [
@@ -348,6 +350,44 @@ class TestTrainPredictRoundTrip:
         finally:
             path.write_bytes(raw)
         assert rc == 1 if truncate else rc in (0, 1)
+
+    def test_predict_pada_equals_one_example_at_a_time(self, pada_dir, data_path, tmp_path):
+        """One call decodes the whole file, bucketed by input length; every
+        output record equals what decoding each example alone gives."""
+        records = [json.loads(line) for line in data_path.read_text().splitlines()[:9]]
+        data = tmp_path / "mixed.jsonl"
+        # cut some texts short, so the examples fall into several buckets
+        data.write_text("".join(
+            json.dumps({"id": f"x{i}", "text": " ".join(r["text"].split()[: 2 + i % 3 * 40])})
+            + "\n" for i, r in enumerate(records)))
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model-dir", str(pada_dir),
+                     "--data", str(data), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+
+        trained, cfg = load_model_dir(pada_dir)
+        examples = [Example(id=f"x{i}", text=json.loads(line)["text"], label="", domain="")
+                    for i, line in enumerate(data.read_text().splitlines())]
+        assert len({len(trained.vocab.encode_text(ex.text)) for ex in examples}) >= 2
+        cands = [generate_candidates(trained.model_cfg, trained.params, trained.vocab, ex,
+                                     cfg.beam_config()) for ex in examples]
+        probs = classify_many(trained.model_cfg, trained.params, trained.vocab, examples,
+                              prompts=[c[0].prompt_ids for c in cands])
+        assert [r["id"] for r in rows] == [ex.id for ex in examples]
+        for row, c, p in zip(rows, cands, probs):
+            assert row["generated_prompt"] == " ".join(c[0].tokens)
+            assert row["candidates"] == [{"tokens": list(x.tokens), "score": x.score} for x in c]
+            assert row["class_probs"] == p.tolist()
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_predict_empty_input_exits_1(self, pada_dir, tmp_path, capsys, content):
+        data = tmp_path / "empty.jsonl"
+        data.write_text(content)
+        assert main(["predict", "--model-dir", str(pada_dir), "--data", str(data),
+                     "--out", str(tmp_path / "preds.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty.jsonl" in err
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_predict_pair_input_joined(self, noda_dir, tmp_path):
         data = tmp_path / "pairs.jsonl"

@@ -4,14 +4,18 @@ import pytest
 from pada_lab.baselines import classify_many
 from pada_lab.corpus import BOS, EOS, UNK, Example, Vocabulary
 from pada_lab.harness import pada_predict_many
+from pada_lab import inference
 from pada_lab.inference import (
+    SEARCH_EXAMPLES,
     BeamConfig,
     GeneratedPrompt,
     Hypothesis,
     _extend,
     beam_search,
     diverse_beam_search,
+    diverse_beam_search_many,
     generate_candidates,
+    generate_candidates_many,
     generate_prompt,
 )
 from pada_lab.model import (
@@ -55,8 +59,9 @@ class TestBeamConfig:
             BeamConfig(num_candidates=0)
 
     def test_penalty_non_negative(self):
-        with pytest.raises(ValueError):
-            BeamConfig(beam_size=4, num_groups=2, diversity_penalty=-0.5)
+        for penalty in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                BeamConfig(beam_size=4, num_groups=2, diversity_penalty=penalty)
 
 
 class TestHypothesis:
@@ -84,12 +89,59 @@ def extend_full_pool(hyps, logp, penalties, width):
     return [h for h, _ in pool[:width]], [row for _, row in pool[:width]]
 
 
+def id_rank(hyps):
+    """Each hypothesis's position in the lexicographic order of ids."""
+    rank = np.empty(len(hyps), dtype=np.int64)
+    rank[sorted(range(len(hyps)), key=lambda i: hyps[i].ids)] = np.arange(len(hyps))
+    return rank
+
+
+def extend_across(blocks, penalties, width):
+    """`_extend` over the rows of several inputs at once: blocks holds
+    one (hyps, logp) pair per input. Returns, per input, its kept
+    extensions and rows as `extend_full_pool` orders them."""
+    hyps = [h for block, _ in blocks for h in block]
+    example = np.repeat(np.arange(len(blocks)), [len(block) for block, _ in blocks])
+    logp = np.concatenate([lp for _, lp in blocks])
+    pen = np.array([h.penalized_score for h in hyps])
+    rows, toks, scores = _extend(pen, logp, penalties[example],
+                                 [len(block) for block, _ in blocks], id_rank(hyps), width)
+    first = np.cumsum([0] + [len(block) for block, _ in blocks])
+    out = [([], []) for _ in blocks]
+    for r, t, s in zip(rows.tolist(), toks.tolist(), scores.tolist()):
+        h = hyps[r]
+        e = int(example[r])
+        out[e][0].append(Hypothesis(h.ids + (t,), h.raw_score + float(logp[r, t]), s))
+        out[e][1].append(r - int(first[e]))
+    for kept, rows_e in out:
+        order = sorted(range(len(kept)), key=lambda i: (-kept[i].penalized_score, kept[i].ids))
+        kept[:], rows_e[:] = [kept[i] for i in order], [rows_e[i] for i in order]
+    return out
+
+
+def extend_one(hyps, logp, penalties, width):
+    return extend_across([(hyps, logp)], penalties[None, :], width)[0]
+
+
+def random_block(rng, n_rows, vocab, forced):
+    hyps = [
+        Hypothesis(ids=(r,), raw_score=float(rng.normal()),
+                   penalized_score=float(np.round(rng.normal(), 1)))
+        for r in range(n_rows)
+    ]
+    # coarse values force ties; a forced-EOS step leaves one finite column
+    logp = np.round(rng.normal(size=(n_rows, vocab)), 1)
+    if forced:
+        logp[:, 1:] = -np.inf
+    return hyps, logp
+
+
 class TestExtend:
     def test_tie_goes_to_smaller_ids(self):
         hyps = [Hypothesis(ids=(3,), raw_score=0.0, penalized_score=0.0),
                 Hypothesis(ids=(1,), raw_score=0.0, penalized_score=0.0)]
         logp = np.zeros((2, 4))
-        got, rows = _extend(hyps, logp, np.zeros(4), 3)
+        got, rows = extend_one(hyps, logp, np.zeros(4), 3)
         assert [h.ids for h in got] == [(1, 0), (1, 1), (1, 2)]
         assert rows == [1, 1, 1]
 
@@ -98,18 +150,26 @@ class TestExtend:
         rng = np.random.default_rng(seed)
         for _ in range(200):
             n_rows, vocab, width = (int(x) for x in rng.integers(1, [4, 10, 6]))
-            hyps = [
-                Hypothesis(ids=(r,), raw_score=float(rng.normal()),
-                           penalized_score=float(np.round(rng.normal(), 1)))
-                for r in range(n_rows)
-            ]
-            # coarse values force ties; a forced-EOS step leaves one finite column
-            logp = np.round(rng.normal(size=(n_rows, vocab)), 1)
-            if rng.random() < 0.3:
-                logp[:, 1:] = -np.inf
+            hyps, logp = random_block(rng, n_rows, vocab, rng.random() < 0.3)
             penalties = 1.5 * rng.integers(0, 3, size=vocab)
             want = extend_full_pool(hyps, logp, penalties, width)
-            assert _extend(hyps, logp, penalties, width) == want
+            assert tuple(extend_one(hyps, logp, penalties, width)) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_across_inputs_matches_full_pool(self, seed):
+        # Inputs with different row counts are padded for the cut; at a
+        # forced-EOS step every real non-EOS candidate is -inf too, and
+        # may still be kept at the cut, but no padded slot ever is.
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(100):
+            n_in, vocab, width = (int(x) for x in rng.integers(1, [6, 10, 6]))
+            forced = rng.random() < 0.3
+            blocks = [random_block(rng, int(rng.integers(1, 4)), vocab, forced)
+                      for _ in range(n_in)]
+            penalties = 1.5 * rng.integers(0, 3, size=(n_in, vocab))
+            got = extend_across(blocks, penalties, width)
+            for (hyps, logp), pen, (kept, rows) in zip(blocks, penalties, got):
+                assert (kept, rows) == extend_full_pool(hyps, logp, pen, width)
 
 
 class TestBeamAgainstExhaustive:
@@ -258,6 +318,163 @@ class TestDiverseBeamAgainstNaive:
             assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batch_matches_group_by_group_search(self, seed):
+        # Several inputs of one length decoded as one batch: every input
+        # must match the naive search run on it alone.
+        rng = np.random.default_rng(1000 + seed)
+        num_groups = int(rng.integers(1, 5))
+        group_width = int(rng.integers(1, 4))
+        max_len = int(rng.integers(2, 6))
+        penalty = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+        cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)), max_output_len=max_len)
+        params = init_params(cfg)
+        n_in = int(rng.integers(2, 7))
+        enc, mask = batch_inputs(rng, cfg, params, n_in, int(rng.integers(1, 6)), seed)
+        bc = BeamConfig(
+            num_candidates=num_groups * group_width, beam_size=num_groups * group_width,
+            num_groups=num_groups, diversity_penalty=penalty,
+        )
+        got = diverse_beam_search_many(cfg, params, enc, mask, bc)
+        assert len(got) == n_in
+        for e, hyps in enumerate(got):
+            want = diverse_beam_naive(
+                lambda prefixes: full_prefix_logp(cfg, params, enc[e : e + 1], mask[:1], prefixes),
+                cfg.vocab_size, EOS, max_len, num_groups, group_width, penalty, bc.num_candidates,
+            )
+            assert [h.ids for h in hyps] == [ids for ids, _ in want]
+            for h, (_, score) in zip(hyps, want):
+                assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
+
+
+def batch_inputs(rng, cfg, params, n_in, length, seed):
+    """Encoder states and mask of n_in inputs of one length. Odd seeds
+    make the decoder lean on its input (random, large encoder states
+    and a scaled-up cross-attention output) and make EOS likelier, so
+    inputs finish hypotheses at different steps and keep unequal row
+    counts; even seeds encode random ids."""
+    mask = np.ones((n_in, length))
+    if seed % 2 == 0:
+        return encode(cfg, params, rng.integers(3, cfg.vocab_size, size=(n_in, length)), mask), mask
+    for name in params:
+        if name.endswith("cross.wo"):
+            params[name] *= 20.0
+    params["embed"][EOS] *= 3.0
+    return rng.normal(scale=3.0, size=(n_in, length, cfg.d_model)), mask
+
+
+def bits(hyps):
+    """Hypotheses with every float as its exact bit pattern."""
+    return [(h.ids, h.raw_score.hex(), h.penalized_score.hex()) for h in hyps]
+
+
+def random_examples(rng, n, max_words):
+    words = ["alpha", "beta"]
+    return [
+        Example(id=f"e{i}", text=" ".join(rng.choice(words, size=int(rng.integers(1, max_words)))),
+                label="pos", domain="d")
+        for i in range(n)
+    ]
+
+
+class TestBatchedSearchIsExact:
+    """Decoding many examples at once gives, bit for bit, what decoding
+    each alone gives: mixed input lengths (several buckets, returned in
+    input order), searches that run into the forced-EOS length cap, and
+    penalties zero and positive."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generate_candidates_many_equals_one_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)),
+                        max_input_len=int(rng.integers(3, 8)),
+                        max_output_len=int(rng.integers(2, 6)))
+        params = init_params(cfg)
+        num_groups, group_width = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        bc = BeamConfig(num_candidates=num_groups * group_width,
+                        beam_size=num_groups * group_width, num_groups=num_groups,
+                        diversity_penalty=(0.0, 1.5)[seed % 2])
+        exs = random_examples(rng, int(rng.integers(1, 9)), 8)
+        got = generate_candidates_many(cfg, params, VOCAB, exs, bc)
+        want = [generate_candidates(cfg, params, VOCAB, ex, bc) for ex in exs]
+        assert got == want
+        assert [[c.score.hex() for c in cands] for cands in got] == [
+            [c.score.hex() for c in cands] for cands in want]
+
+    def test_buckets_are_scattered_back_in_input_order(self):
+        rng = np.random.default_rng(7)
+        cfg = small_cfg(max_input_len=6)
+        params = init_params(cfg)
+        exs = random_examples(rng, 8, 7)
+        lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
+        assert len(lengths) >= 2
+        got = generate_candidates_many(cfg, params, VOCAB, exs)
+        assert got == [generate_candidates(cfg, params, VOCAB, ex) for ex in exs]
+
+    def test_bucket_larger_than_one_search(self, monkeypatch):
+        # A bucket of more than SEARCH_EXAMPLES examples is decoded in
+        # several searches, none larger, with the same bits.
+        rng = np.random.default_rng(11)
+        cfg = small_cfg(max_input_len=3, max_output_len=4)
+        params = init_params(cfg)
+        exs = random_examples(rng, 2 * SEARCH_EXAMPLES + 5, 6)
+        bc = BeamConfig(num_candidates=4, beam_size=4, num_groups=2, diversity_penalty=1.5)
+        sizes = []
+
+        def spy(model_cfg, P, enc_states, enc_mask, cfg):
+            sizes.append(len(enc_states))
+            return diverse_beam_search_many(model_cfg, P, enc_states, enc_mask, cfg)
+
+        monkeypatch.setattr(inference, "diverse_beam_search_many", spy)
+        got = generate_candidates_many(cfg, params, VOCAB, exs, bc)
+        assert sum(sizes) == len(exs) and max(sizes) == SEARCH_EXAMPLES
+        lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
+        assert len(sizes) > len(lengths)  # some bucket spans several searches
+        want = [generate_candidates(cfg, params, VOCAB, ex, bc) for ex in exs]
+        assert got == want
+        assert [[c.score.hex() for c in cands] for cands in got] == [
+            [c.score.hex() for c in cands] for cands in want]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_search_many_equals_search_one(self, seed):
+        # raw and penalized scores of every hypothesis, bit for bit
+        rng = np.random.default_rng(50 + seed)
+        max_len = int(rng.integers(2, 6))
+        cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)), max_output_len=max_len)
+        params = init_params(cfg)
+        n_in = int(rng.integers(1, 9))
+        enc, mask = batch_inputs(rng, cfg, params, n_in, int(rng.integers(1, 6)), seed)
+        bc = BeamConfig(num_candidates=4, beam_size=4, num_groups=int(rng.choice([1, 2, 4])),
+                        diversity_penalty=(0.0, 2.5)[seed // 2 % 2])
+        got = diverse_beam_search_many(cfg, params, enc, mask, bc)
+        for e in range(n_in):
+            one = diverse_beam_search(cfg, params, enc[e : e + 1], mask[e : e + 1], bc)
+            assert bits(got[e]) == bits(one)
+
+    def test_encoding_a_bucket_equals_encoding_each(self):
+        cfg = small_cfg(n_layers=2)
+        params = init_params(cfg)
+        ids = np.random.default_rng(4).integers(3, cfg.vocab_size, size=(6, 5))
+        enc = encode(cfg, params, ids, np.ones(ids.shape))
+        for e in range(len(ids)):
+            assert np.array_equal(enc[e : e + 1], encode(cfg, params, ids[e : e + 1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pada_predict_many_equals_one_at_a_time(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        cfg = small_cfg(seed=seed, max_input_len=6, max_output_len=int(rng.integers(2, 5)))
+        params = init_params(cfg)
+        exs = random_examples(rng, int(rng.integers(2, 9)), 7)
+        bc = BeamConfig(num_candidates=2, beam_size=4, num_groups=2,
+                        diversity_penalty=(0.0, 1.5)[seed % 2])
+        probs, prompts = pada_predict_many(cfg, params, VOCAB, exs, bc)
+        want_prompts = [generate_prompt(cfg, params, VOCAB, ex, bc) for ex in exs]
+        assert prompts == want_prompts
+        want = classify_many(cfg, params, VOCAB, exs,
+                             prompts=[p.prompt_ids for p in want_prompts])
+        assert np.array_equal(probs, want)
+
+
 class TestGeneratedPrompt:
     def test_prompt_ids_strip_trailing_eos(self):
         p = GeneratedPrompt(ids=(7, 6, EOS), tokens=("a", "b"), score=-1.0)
@@ -306,6 +523,12 @@ class TestGenerateAndPredict:
         assert probs.shape == (1, 2)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs >= 0).all()
+
+    def test_empty_batch(self):
+        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [], BeamConfig())
+        assert probs.shape == (0, 2) and prompts == []
+        assert classify_many(self.cfg, self.params, VOCAB, []).shape == (0, 2)
+        assert generate_candidates_many(self.cfg, self.params, VOCAB, []) == []
 
     def test_predict_combines_both_steps(self):
         probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [self.ex], BeamConfig())
