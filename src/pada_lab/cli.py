@@ -124,8 +124,15 @@ def merge_config(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
+# Where a command reads and writes, not what it computes.
+_PATH_KEYS = ("data", "out", "model_dir", "run_dir")
+
+
 def config_hash(command: str, merged: dict) -> str:
-    payload = json.dumps({"command": command, "values": merged}, sort_keys=True)
+    """Hash of the command and its settings; path-valued keys are left
+    out, so one run hashes the same whatever directories it uses."""
+    values = {k: v for k, v in merged.items() if k not in _PATH_KEYS}
+    payload = json.dumps({"command": command, "values": values}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

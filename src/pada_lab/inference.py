@@ -14,18 +14,25 @@ classifying prompt + SEP + text, is `harness.pada_predict_many`.
 
 One search decodes up to SEARCH_EXAMPLES examples of one input length
 together (`generate_candidates_many`), and each example's hypotheses
-are bitwise those of decoding it alone. That holds because every
-product in the decoder step is computed per row, except one: the
-vocabulary projection is a 2-D matrix product, and BLAS may round a row
-differently with a different row count. So it runs once per example, on
-that example's rows, in the order a one-example search would hold them.
-Examples are bucketed by input length, never padded, because padding
-lengthens the attention sums over the keys and so regroups their
-rounding. Each example's cross-attention keys and values broadcast over
-its rows, never copied per row; with one example the decoder runs its
-one-input step (no grid, one projection), so a one-example request
-costs about what it did before batching. The cap on examples per search
-bounds the self-attention keys and values a search holds.
+are bitwise those of decoding it alone. That holds because a decoder
+row's bits do not depend on the other rows: each weight is one 2-D
+product over all rows, against a copy laid out so that BLAS rounds a
+row the same way whatever the row count (`model._gemm`), and each
+attention product is one (row, head) block. Examples are bucketed by
+input length, never padded, because padding lengthens the attention
+sums over the keys and so regroups their rounding. Each example's
+cross-attention keys and values broadcast over its rows, never copied
+per row; with one example the decoder runs its one-input step (no
+grid). The cap on examples per search bounds the self-attention keys
+and values a search holds.
+
+An example stops decoding once its candidates are settled: every step
+adds a log-probability <= 0, so no descendant of a live hypothesis
+scores above it, and once the example's `num_candidates`-th best
+finished score is above every live score, its live hypotheses are
+dropped. The candidates are the ones the full search would return,
+and the other examples of the search are untouched, because selection
+and diversity penalties are per example.
 """
 
 from __future__ import annotations
@@ -143,7 +150,8 @@ def diverse_beam_search_many(
     log-probabilities, and every group's prefixes are fixed before any
     group selects; so each step feeds the unfinished hypotheses of all
     inputs and groups to the incremental decoder at once, and the groups
-    then select in order, each across all inputs.
+    then select in order, each across all inputs. An input whose
+    candidates are settled stops (see the module docstring).
     """
     P = _f64(params)
     n_in = enc_states.shape[0]
@@ -166,6 +174,8 @@ def diverse_beam_search_many(
     tokens = np.full(len(key), BOS, dtype=np.int64)
     state = start_decoder(model_cfg, P, enc_states, enc_mask)
     finished: list[list] = [[] for _ in range(n_in)]
+    # each example's num_candidates-th best finished raw score so far
+    settled = np.full(n_in, -np.inf)
 
     for step in range(max_len):
         if not parents.size:
@@ -201,11 +211,22 @@ def diverse_beam_search_many(
         raws = raw[src] + logp[src, toks]
         ids = np.concatenate((ids[src], toks[:, None]), axis=1)
         n_live = len(done) - int(np.count_nonzero(done))
-        for e, seq, r, p in zip(example[src[n_live:]].tolist(), ids[n_live:].tolist(),
-                                raws[n_live:].tolist(), scores[n_live:].tolist()):
+        done_ex = example[src[n_live:]].tolist()
+        for e, seq, r, p in zip(done_ex, ids[n_live:].tolist(), raws[n_live:].tolist(),
+                                scores[n_live:].tolist()):
             finished[e].append((tuple(seq), r, p))
-        parents, tokens = src[:n_live], toks[:n_live]
-        key, ids, raw, pen, rank = key[parents], ids[:n_live], raws[:n_live], scores[:n_live], rank[:n_live]
+        for e in set(done_ex):
+            top = sorted((h[1] for h in finished[e]), reverse=True)[: cfg.num_candidates]
+            if len(top) == cfg.num_candidates:
+                settled[e] = top[-1]
+        live = example[src[:n_live]]
+        # A live hypothesis can at best tie its own raw score, and a tie
+        # can still win on ids, so its example stops only on a strict win.
+        best = np.full(n_in, -np.inf)
+        np.maximum.at(best, live, raws[:n_live])
+        keep = np.flatnonzero(settled[live] <= best[live])
+        parents, tokens = src[keep], toks[keep]
+        key, ids, raw, pen, rank = key[parents], ids[keep], raws[keep], scores[keep], rank[keep]
 
     out = []
     for hyps in finished:

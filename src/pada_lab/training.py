@@ -9,7 +9,6 @@ checkpoint with the best dev score from an injected evaluation callback.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -229,7 +228,8 @@ def adam_step(
     """One bias-corrected Adam update at the scheduled learning rate.
 
     Math runs in float64; the returned tensors keep each parameter's
-    dtype. Raises on non-finite gradients, naming the tensor.
+    dtype. Every updated tensor is a new array: no parameter array is
+    ever written. Raises on non-finite gradients, naming the tensor.
 
     A tensor with no state yet and an all-zero gradient is returned as
     it is and gets no state: with both moments at zero its update is
@@ -319,7 +319,9 @@ def train(
     state = AdamState()
     step = 0
     best_dev = -math.inf
-    best_params = copy.deepcopy(params)
+    # nothing writes into a parameter array (adam_step returns new
+    # ones), so the best checkpoint keeps its epoch's arrays
+    best_params = dict(params)
     best_epoch = -1
     bad_streak = 0
     log: list[dict] = []
@@ -351,7 +353,7 @@ def train(
         )
         if dev > best_dev:
             best_dev = dev
-            best_params = copy.deepcopy(params)
+            best_params = dict(params)
             best_epoch = epoch
             bad_streak = 0
         else:

@@ -118,6 +118,14 @@ class TestConfigHash:
     def test_value_sensitive(self):
         assert config_hash("train", {"a": 1}) != config_hash("train", {"a": 2})
 
+    def test_paths_are_not_settings(self):
+        def hashed(*flags):
+            args = build_parser().parse_args(["run-loo", *flags])
+            return config_hash("run-loo", merge_config(args._defaults_by_command["run-loo"], args))
+
+        assert hashed("--data", "d", "--out", "y") == hashed("--data", "e", "--out", "z")
+        assert hashed("--out", "y", "--lr", "1e-3") != hashed("--out", "y", "--lr", "1e-2")
+
 
 class TestExitCodes:
     def test_missing_required_value(self, capsys):

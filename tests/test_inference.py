@@ -23,6 +23,7 @@ from pada_lab.model import (
     _decoder_fwd,
     _f64,
     _logsumexp,
+    advance_decoder,
     decode_step,
     encode,
     init_params,
@@ -473,6 +474,82 @@ class TestBatchedSearchIsExact:
         want = classify_many(cfg, params, VOCAB, exs,
                              prompts=[p.prompt_ids for p in want_prompts])
         assert np.array_equal(probs, want)
+
+
+class ScriptedDecoder:
+    """Stands in for the model in `diverse_beam_search_many`: a row's
+    next-token log-probabilities are a fixed function of its input and
+    prefix, drawn from 0.0, -0.5 and -1.0 so that scores tie. EOS scores
+    exactly 0.0, so a finished child keeps its parent's raw score, and
+    a live child that scored 0.0 ties its finished sibling: the cut of
+    an input's candidates can equal a live score."""
+
+    def __init__(self, seed, vocab_size):
+        self.seed, self.vocab_size = seed, vocab_size
+
+    def logp(self, e, prefix):
+        row = -np.random.default_rng([self.seed, e, *prefix]).integers(0, 3, self.vocab_size) / 2.0
+        row[EOS] = 0.0
+        return row
+
+    def start(self, model_cfg, P, enc_states, enc_mask):
+        return [(e, ()) for e in range(len(enc_states))]  # per row: input, prefix
+
+    def advance(self, model_cfg, P, state, parents, tokens, example=None):
+        rows = [(state[p][0], state[p][1] + (t,)) for p, t in zip(parents.tolist(), tokens.tolist())]
+        return rows, np.array([self.logp(e, prefix) for e, prefix in rows])
+
+
+class TestSettledInputsStop:
+    """An input whose num_candidates-th best finished raw score is above
+    every live raw score of that input stops decoding; the candidates of
+    every input are still those of the full search."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_scripted_ties_match_group_by_group_search(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        num_groups, group_width = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        max_len = 5
+        cfg = small_cfg(max_output_len=max_len)
+        bc = BeamConfig(num_candidates=int(rng.integers(1, 4)),
+                        beam_size=num_groups * group_width, num_groups=num_groups,
+                        diversity_penalty=(0.0, 0.5)[seed % 2])
+        script = ScriptedDecoder(seed, cfg.vocab_size)
+        monkeypatch.setattr(inference, "start_decoder", script.start)
+        monkeypatch.setattr(inference, "advance_decoder", script.advance)
+        n_in = 3
+        got = diverse_beam_search_many(cfg, {}, np.zeros((n_in, 1, cfg.d_model)),
+                                       np.ones((n_in, 1)), bc)
+        for e in range(n_in):
+            want = diverse_beam_naive(
+                lambda prefixes: [script.logp(e, (BOS,) + p) for p in prefixes],
+                cfg.vocab_size, EOS, max_len, num_groups, group_width,
+                bc.diversity_penalty, bc.num_candidates,
+            )
+            assert [(h.ids, h.raw_score) for h in got[e]] == want
+
+    def test_stop_fires_on_a_model_that_emits_eos_early(self, monkeypatch):
+        cfg = small_cfg(seed=3, max_output_len=8)
+        params = init_params(cfg)
+        params["embed"][EOS] *= 40.0  # EOS outscores every other token
+        enc, mask = encoded(cfg, params)
+        bc = BeamConfig(num_candidates=2, beam_size=4, num_groups=2, diversity_penalty=0.5)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return advance_decoder(*args)
+
+        monkeypatch.setattr(inference, "advance_decoder", counted)
+        got = diverse_beam_search(cfg, params, enc, mask, bc)
+        assert len(calls) < cfg.max_output_len
+        want = diverse_beam_naive(
+            lambda prefixes: full_prefix_logp(cfg, params, enc, mask, prefixes),
+            cfg.vocab_size, EOS, cfg.max_output_len, 2, 2, 0.5, 2,
+        )
+        assert [h.ids for h in got] == [ids for ids, _ in want]
+        for h, (_, score) in zip(got, want):
+            assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
 
 
 class TestGeneratedPrompt:

@@ -257,6 +257,52 @@ class TestDecodeStep:
             seqs = np.concatenate([seqs[parents], tokens[:, None]], axis=1)
 
 
+class TestAdvanceDecoderRows:
+    """A row's bits from `advance_decoder` depend on its own prefix and
+    input alone: alone (R=1), doubled, or at any place in batches of 2
+    to 48 rows, from one-input and several-input states. The widths are
+    a default-sized decoder over a vocabulary that is not a multiple of
+    8, where a product with the `embed.T` view rounds rows differently
+    once a batch passes about 20 rows, and odd widths everywhere, which
+    take the zero-padded weight copies."""
+
+    @pytest.mark.parametrize("widths", [
+        dict(d_model=64, n_heads=4, d_ffn=128, vocab_size=58),
+        dict(d_model=12, n_heads=3, d_ffn=20, vocab_size=9),
+    ])
+    @pytest.mark.parametrize("n_in", [1, 3])
+    def test_row_bits_do_not_depend_on_the_batch(self, widths, n_in):
+        cfg = tiny_cfg(n_layers=2, max_output_len=4, **widths)
+        P = _f64(init_params(cfg))
+        # logits as large as their log-sum-exp, so that a last-bit
+        # change in one still shows in the log-probabilities
+        P["embed"] *= 50.0
+        rng = np.random.default_rng(n_in)
+        enc = rng.normal(size=(n_in, 5, cfg.d_model))
+        mask = np.ones((n_in, 5))
+        n_rows = 48
+        # one-token prefixes spread over the inputs
+        example = rng.integers(0, n_in, size=n_rows)
+        start = start_decoder(cfg, P, enc, mask)
+        state, _ = advance_decoder(cfg, P, start, example, np.full(n_rows, BOS), example)
+        tokens = rng.integers(EOS + 1, cfg.vocab_size, size=n_rows)
+
+        def step(rows):
+            """Each of `rows` stepped once, as a list of per-row bytes:
+            its log-probabilities and its new keys and values."""
+            new, logp = advance_decoder(cfg, P, state, rows, tokens[rows], example[rows])
+            kvs = [a for layer in new.self_kv for a in layer]
+            return [logp[i].tobytes() + b"".join(a[i].tobytes() for a in kvs)
+                    for i in range(len(rows))]
+
+        alone = [step(np.array([r]))[0] for r in range(n_rows)]
+        for r in range(n_rows):
+            assert step(np.array([r, r])) == [alone[r]] * 2
+        for k in range(2, n_rows + 1):
+            rows = rng.permutation(n_rows)[:k]
+            assert step(rows) == [alone[r] for r in rows]
+
+
 def assert_bitwise(got, want, what):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype, what

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pada_lab import training
 from pada_lab.corpus import DOMAIN_PREFIX, EOS, SEP, Example, Vocabulary
 from pada_lab.drf import PromptAnnotation
 from pada_lab.model import ModelConfig
@@ -377,6 +378,32 @@ class TestTrainLoop:
         assert result.params.keys() == best.keys()
         for k in best:
             assert np.array_equal(result.params[k], best[k]), k
+
+    @pytest.mark.parametrize("evals", [[0.5, 0.8], [0.8, 0.5]])
+    def test_parameter_arrays_are_never_written(self, evals, monkeypatch):
+        # The best checkpoint keeps its epoch's arrays, not a copy of
+        # them, which is sound only while nothing writes into a
+        # parameter array: with every one read-only the run must give
+        # the same bits.
+        want, _ = self.run(evals, patience=1)
+
+        def read_only(params):
+            for v in params.values():
+                v.setflags(write=False)
+            return params
+
+        init, step = training.init_params, training.adam_step
+
+        def stepped(*args):
+            new, state = step(*args)
+            return read_only(new), state
+
+        monkeypatch.setattr(training, "init_params", lambda cfg: read_only(init(cfg)))
+        monkeypatch.setattr(training, "adam_step", stepped)
+        got, seen = self.run(evals, patience=1)
+        assert got.best_epoch == want.best_epoch
+        for k, v in want.params.items():
+            assert got.params[k].tobytes() == v.tobytes() == seen[got.best_epoch][k].tobytes(), k
 
     def test_log_schema_and_length(self):
         result, _ = self.run([0.1, 0.2, 0.3], patience=5)
