@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -112,7 +112,8 @@ class ExperimentConfig:
     lr: float = 2e-3
     warmup_ratio: float = 0.1
     patience: int = 8
-    # prompt decoding
+    # prompt decoding; num_candidates only sets how many candidates CLI
+    # `predict` writes, since every other path uses the best one alone
     num_candidates: int = 5
     beam_size: int = 10
     num_groups: int = 5
@@ -207,10 +208,17 @@ def pada_predict_many(
 ) -> tuple[np.ndarray, list[GeneratedPrompt]]:
     """Two-step prediction for a batch: prompt generation, decoding the
     examples of one input length together, then one batched
-    classification over prompt + SEP + text."""
+    classification over prompt + SEP + text.
+
+    Only each example's best candidate is used, so the search asks for
+    one, whatever `beam_cfg.num_candidates` says: an example then stops
+    as soon as its best finished score is above all its live ones, and
+    the prompt is the one a full search would rank first (see the
+    `inference` module docstring)."""
     params = _f64(params)  # once per request, not once per model call
+    best_only = replace(beam_cfg, num_candidates=1)
     prompts = [cands[0] for cands in
-               generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)]
+               generate_candidates_many(model_cfg, params, vocab, examples, best_only)]
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[p.prompt_ids for p in prompts]
     )

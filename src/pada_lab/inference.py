@@ -32,7 +32,10 @@ scores above it, and once the example's `num_candidates`-th best
 finished score is above every live score, its live hypotheses are
 dropped. The candidates are the ones the full search would return,
 and the other examples of the search are untouched, because selection
-and diversity penalties are per example.
+and diversity penalties are per example. `num_candidates` enters the
+search only through this stop and the final cut, so asking for fewer
+candidates returns the first ones of the longer list, sooner:
+`harness.pada_predict_many` uses only the best, so it asks for one.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class BeamConfig:
             )
         if not 0.0 <= self.diversity_penalty < math.inf:
             raise ValueError("diversity_penalty must be finite and non-negative")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError(f"max_len must be at least 1, got {self.max_len}")
 
 
 @dataclass(frozen=True)

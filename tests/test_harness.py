@@ -351,6 +351,18 @@ class TestRunLoo:
         assert cell["seeds"] == [0, 1]
         assert cell["target_f1"] == pytest.approx(sum(f1s) / 2)
 
+    def test_candidate_count_never_changes_a_result(self, tmp_path):
+        # pada uses each example's best candidate alone, so how many
+        # candidates a config asks for changes no F1 and no shift. The
+        # grid is trained long enough that its prompts move the scores.
+        ds = small_dataset(n=12)
+        for n in (1, 5):
+            cfg = small_cfg(num_candidates=n, epochs=4, lr=1e-2, beam_size=10, num_groups=5)
+            run_loo(ds, ["pada", "pada-nc"], cfg, tmp_path / str(n))
+        agg = (tmp_path / "1" / "aggregate.csv").read_bytes()
+        assert agg == (tmp_path / "5" / "aggregate.csv").read_bytes()
+        assert any(float(v) for v in agg.decode().splitlines()[1].split(",")[1:])
+
     def test_unknown_model_listed(self, tmp_path):
         with pytest.raises(ValueError, match="fancy"):
             run_loo(small_dataset(), ["fancy"], small_cfg(), tmp_path)

@@ -64,6 +64,12 @@ class TestBeamConfig:
             with pytest.raises(ValueError):
                 BeamConfig(beam_size=4, num_groups=2, diversity_penalty=penalty)
 
+    def test_max_len_positive(self):
+        for max_len in (0, -1):
+            with pytest.raises(ValueError, match="max_len"):
+                BeamConfig(max_len=max_len)
+        assert BeamConfig(max_len=1).max_len == 1
+
 
 class TestHypothesis:
     def test_finished_only_on_trailing_eos(self):
@@ -550,6 +556,72 @@ class TestSettledInputsStop:
         assert [h.ids for h in got] == [ids for ids, _ in want]
         for h, (_, score) in zip(got, want):
             assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
+
+
+class TestPredictSearchesForTheBestOnly:
+    """`pada_predict_many` searches for one candidate per example and
+    stops each example once that candidate is settled. Its prompts,
+    scores and probabilities are bit for bit those of the best of a
+    full five-candidate search followed by classification."""
+
+    BEAM = BeamConfig()  # five candidates, as ExperimentConfig has by default
+
+    def full_search_then_classify(self, cfg, params, exs):
+        best = [cands[0] for cands in generate_candidates_many(cfg, params, VOCAB, exs, self.BEAM)]
+        return classify_many(cfg, params, VOCAB, exs, prompts=[p.prompt_ids for p in best]), best
+
+    def check(self, cfg, params, exs):
+        probs, prompts = pada_predict_many(cfg, params, VOCAB, exs, self.BEAM)
+        want_probs, want = self.full_search_then_classify(cfg, params, exs)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert [(p.ids, p.tokens, p.score.hex(), p.used_fallback) for p in prompts] == [
+            (p.ids, p.tokens, p.score.hex(), p.used_fallback) for p in want]
+        return prompts
+
+    @staticmethod
+    def case(seed, sharpen=1.0):
+        """A random model and 1-8 examples of mixed lengths; `sharpen`
+        scales the embeddings and cross-attention outputs."""
+        rng = np.random.default_rng(300 + seed)
+        cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)), max_input_len=12,
+                        max_output_len=int(rng.integers(2, 7)))
+        params = init_params(cfg)
+        for name in params:
+            if name == "embed" or name.endswith("cross.wo"):
+                params[name] *= sharpen
+        return cfg, params, random_examples(rng, int(rng.integers(1, 9)), 7)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_models(self, seed):
+        self.check(*self.case(seed))
+
+    def test_sharp_models(self):
+        # Sharper token distributions: some best prompts are bare EOS
+        # (the fallback), others run for several tokens.
+        fallbacks = set()
+        for seed in range(8):
+            fallbacks |= {p.used_fallback for p in self.check(*self.case(seed, sharpen=20.0))}
+        assert fallbacks == {False, True}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eos_heavy_model_stops_sooner(self, seed, monkeypatch):
+        rng = np.random.default_rng(400 + seed)
+        cfg = small_cfg(seed=3, max_input_len=12, max_output_len=8)
+        params = init_params(cfg)
+        params["embed"][EOS] *= 40.0  # EOS outscores every other token
+        exs = random_examples(rng, int(rng.integers(1, 9)), 7)
+        self.check(cfg, params, exs)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return advance_decoder(*args)
+
+        monkeypatch.setattr(inference, "advance_decoder", counted)
+        pada_predict_many(cfg, params, VOCAB, exs, self.BEAM)
+        best_only = len(calls)
+        self.full_search_then_classify(cfg, params, exs)
+        assert 0 < best_only < len(calls) - best_only
 
 
 class TestGeneratedPrompt:
