@@ -30,11 +30,14 @@ from .corpus import (
 )
 from .harness import (
     MODEL_NAMES,
+    VARIANTS,
     ExperimentConfig,
     MetricSpec,
     build_artifacts,
+    json_entry,
     load_model_dir,
     metric_for_dataset,
+    read_json_object,
     render_shift_svg,
     run_loo,
     save_model_dir,
@@ -323,8 +326,7 @@ def _cmd_train(merged: dict, rc_hash: str) -> int:
     setting = LeaveOneOutSetting(target=target, sources=sources)
     cfg = _experiment_config(merged)
     metric = _metric_from(merged, dataset)
-    domains = tuple(dataset.domains) if model == "ub" else sources
-    artifacts = build_artifacts(dataset, domains, cfg)
+    artifacts = build_artifacts(dataset, VARIANTS[model].domains(dataset, setting), cfg)
     trained = train_variant(
         dataset, setting, model, artifacts, cfg, cfg.seed, metric, cache={}
     )
@@ -438,6 +440,20 @@ def _cmd_run_loo(merged: dict, rc_hash: str) -> int:
     return 0
 
 
+def _read_cell(path) -> dict:
+    """One cell report of a run directory, checked for what `report` reads."""
+    cell = read_json_object(path, "cell report")
+
+    def number_in(lo, hi):  # a range check also rejects NaN and infinities
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
+
+    json_entry(path, cell, "model", lambda v: v in MODEL_NAMES, f"one of {MODEL_NAMES}")
+    json_entry(path, cell, "target", lambda v: isinstance(v, str), "a string")
+    json_entry(path, cell, "target_f1", number_in(0.0, 1.0), "a number in [0, 1]")
+    json_entry(path, cell, "shift", number_in(-1.0, 1.0), "a number in [-1, 1]")  # dev - test
+    return cell
+
+
 def _cmd_report(merged: dict, rc_hash: str) -> int:
     run_dir = Path(_require(merged, "run_dir"))
     out = Path(merged["out"]) if merged.get("out") else run_dir
@@ -446,12 +462,15 @@ def _cmd_report(merged: dict, rc_hash: str) -> int:
         raise ValueError(f"no cells/ directory under {run_dir}")
     cells = {}
     for path in sorted(cells_dir.glob("*.json")):
-        with open(path) as f:
-            cell = json.load(f)
-        cells[(cell["model"], cell["target"])] = cell
+        cell = _read_cell(path)
+        key = (cell["model"], cell["target"])
+        if key in cells:
+            raise ValueError(f"{path}: a second report for model {key[0]!r}, target {key[1]!r}")
+        cells[key] = cell
     if not cells:
         raise ValueError(f"no cell reports under {cells_dir}")
-    models = sorted({m for m, _ in cells})
+    present = {m for m, _ in cells}
+    models = [m for m in MODEL_NAMES if m in present]  # the table's order
     targets = sorted({t for _, t in cells})
     for m in models:
         for t in targets:

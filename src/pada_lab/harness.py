@@ -15,8 +15,9 @@ import hashlib
 import json
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,8 +53,6 @@ from .inference import BeamConfig, GeneratedPrompt, generate_candidates_many
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, _f64, config_from_dict, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
-
-MODEL_NAMES = ("pada", "pada-nc", "pada-dn", "noda", "moe", "ub")
 
 # Reference points from full-scale runs with a large pretrained
 # backbone on rumour detection: mean absolute shift 0.087 for the
@@ -229,7 +228,7 @@ def probs_to_labels(probs: np.ndarray, label_set: Sequence[str]) -> list[str]:
     return [label_set[argmax_class(row)] for row in probs]
 
 
-# --- per-setting runs -------------------------------------------------------
+# --- model variants ---------------------------------------------------------
 
 
 @dataclass
@@ -246,6 +245,136 @@ class TrainedVariant:
     logs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_dev: float = float("nan")
+
+
+# A prediction path: class probabilities [N, C] for examples under a
+# trained variant, plus the generated prompts (two-step model only).
+Predict = Callable[[TrainedVariant, Sequence[Example], BeamConfig],
+                   tuple[np.ndarray, list[GeneratedPrompt] | None]]
+
+
+def _predict_pada(trained, examples, beam_cfg):
+    return pada_predict_many(trained.model_cfg, trained.params, trained.vocab, examples, beam_cfg)
+
+
+def _predict_bare(trained, examples, beam_cfg):
+    return classify_many(trained.model_cfg, trained.params, trained.vocab, examples), None
+
+
+def _predict_names(trained, examples, beam_cfg):
+    probs = dn_predict_many(
+        trained.model_cfg, trained.params, trained.vocab, examples, trained.sources)
+    return probs, None
+
+
+def _predict_experts(trained, examples, beam_cfg):
+    return moe_predict_many(trained.ensemble, trained.vocab, examples), None
+
+
+def _score(predict: Predict, trained, examples, metric: MetricSpec, beam_cfg):
+    """`metric` over `examples` under `predict`, and the prompts it made."""
+    probs, prompts = predict(trained, examples, beam_cfg)
+    labels = probs_to_labels(probs, trained.label_set)
+    return metric.score([ex.label for ex in examples], labels, trained.label_set), prompts
+
+
+def _with_result(base: TrainedVariant, result) -> TrainedVariant:
+    return replace(base, params=result.params, logs=result.log,
+                   best_epoch=result.best_epoch, best_dev=result.best_dev)
+
+
+def _fit_mixture(prompt_style: str, select: Predict):
+    """Generative/discriminative mixture over the annotated training
+    examples with `prompt_style` prompts; `select` scores each epoch on
+    the pooled dev set."""
+
+    def fit(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+        pairs = [(ex, artifacts.annotations[(d, ex.id)])
+                 for d in domains for ex in dataset.train[d]]
+        result = train(base.model_cfg, base.vocab, base.label_set, pairs, train_cfg,
+                       eval_fn_for(select, dataset.dev_examples(domains)),
+                       prompt_style=prompt_style)
+        return _with_result(base, result)
+
+    return fit
+
+
+def _fit_bare(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+    """Bare-text classification, each epoch scored on the pooled dev set."""
+    result = train_classifier_only(
+        base.model_cfg, base.vocab, base.label_set, dataset.train_examples(domains),
+        train_cfg, eval_fn_for(_predict_bare, dataset.dev_examples(domains)),
+    )
+    return _with_result(base, result)
+
+
+def _fit_experts(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+    """One bare-text expert per domain, each stopped on its own dev set."""
+    ensemble, results = train_experts(
+        base.model_cfg, base.vocab, base.label_set, {d: dataset.train[d] for d in domains},
+        train_cfg, lambda d: eval_fn_for(_predict_bare, list(dataset.dev[d])),
+    )
+    logs = [{"domain": d, **rec} for d in ensemble.domains for rec in results[d].log]
+    return replace(base, ensemble=ensemble, logs=logs,
+                   best_epoch=max(results[d].best_epoch for d in ensemble.domains))
+
+
+@dataclass(frozen=True)
+class Variant:
+    """What one model name means.
+
+    fit: the training recipe. fit(base, dataset, domains, artifacts,
+    train_cfg, eval_fn_for) returns `base` trained on `domains`, where
+    eval_fn_for(predict, dev) scores an epoch by `predict` on `dev`.
+    Names with the same recipe and training domains share one run.
+    predict: the prediction path that scores the target.
+    dev_is_source_f1: training selects its checkpoint by this `predict`
+    on the pooled source dev set, so the selected epoch's dev score is
+    already the source-dev F1.
+    all_domains: trains on every domain, the target's training split
+    included, and is scored on the target's dev split.
+    """
+
+    fit: Callable
+    predict: Predict
+    dev_is_source_f1: bool = False
+    all_domains: bool = False
+
+    def domains(self, dataset: MultiDomainDataset, setting: LeaveOneOutSetting) -> tuple[str, ...]:
+        """The domains this variant trains on in `setting`."""
+        return tuple(dataset.domains) if self.all_domains else tuple(setting.sources)
+
+
+_FIT_DRF_MIXTURE = _fit_mixture("drf", _predict_pada)
+
+# The one definition of every model name; `report` rows follow its order.
+VARIANTS = {
+    "pada": Variant(_FIT_DRF_MIXTURE, _predict_pada, dev_is_source_f1=True),
+    "pada-nc": Variant(_FIT_DRF_MIXTURE, _predict_bare),  # pada's run on bare text
+    "pada-dn": Variant(_fit_mixture("name", _predict_names), _predict_names,
+                       dev_is_source_f1=True),
+    "noda": Variant(_fit_bare, _predict_bare, dev_is_source_f1=True),
+    "moe": Variant(_fit_experts, _predict_experts),
+    "ub": Variant(_fit_bare, _predict_bare, all_domains=True),
+}
+MODEL_NAMES = tuple(VARIANTS)
+
+
+def _variant(model: str) -> Variant:
+    if model not in VARIANTS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    return VARIANTS[model]
+
+
+def _reused(variant: Variant) -> bool:
+    """Whether another setting or another name reuses this variant's
+    training run: the upper bound's serves every setting, and pada-nc
+    reuses pada's."""
+    per_setting = [v.fit for v in VARIANTS.values() if not v.all_domains]
+    return variant.all_domains or per_setting.count(variant.fit) > 1
+
+
+# --- per-setting runs -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -277,59 +406,6 @@ class ExperimentReport:
         return d
 
 
-def _mixture_pairs(dataset, sources, artifacts) -> list:
-    pairs = []
-    for d in sources:
-        for ex in dataset.train[d]:
-            pairs.append((ex, artifacts.annotations[(d, ex.id)]))
-    return pairs
-
-
-def _pooled_dev(dataset, domains) -> list[Example]:
-    return dataset.dev_examples(domains)
-
-
-def train_mixture_model(
-    dataset: MultiDomainDataset,
-    setting: LeaveOneOutSetting,
-    artifacts: SettingArtifacts,
-    cfg: ExperimentConfig,
-    seed: int,
-    metric: MetricSpec,
-) -> TrainedVariant:
-    """The prompt-conditioned model: generative/discriminative mixture
-    with feature prompts, epoch selection by end-to-end two-step F1 on
-    the pooled source dev set."""
-    vocab = artifacts.vocab
-    model_cfg = cfg.model_config(len(vocab.id_to_token), len(dataset.label_set))
-    dev = _pooled_dev(dataset, setting.sources)
-    dev_gold = [ex.label for ex in dev]
-    beam_cfg = cfg.beam_config()
-
-    def eval_fn(params):
-        probs, _ = pada_predict_many(model_cfg, params, vocab, dev, beam_cfg)
-        return metric.score(dev_gold, probs_to_labels(probs, dataset.label_set), dataset.label_set)
-
-    result = train(
-        model_cfg, vocab, dataset.label_set,
-        _mixture_pairs(dataset, setting.sources, artifacts),
-        cfg.train_config(seed), eval_fn, prompt_style="drf",
-    )
-    return TrainedVariant(
-        model="pada",
-        model_cfg=model_cfg,
-        vocab=vocab,
-        label_set=tuple(dataset.label_set),
-        positive_class=dataset.positive_class,
-        sources=tuple(setting.sources),
-        target=setting.target,
-        params=result.params,
-        logs=result.log,
-        best_epoch=result.best_epoch,
-        best_dev=result.best_dev,
-    )
-
-
 def train_variant(
     dataset: MultiDomainDataset,
     setting: LeaveOneOutSetting,
@@ -340,130 +416,41 @@ def train_variant(
     metric: MetricSpec,
     cache: dict | None = None,
 ) -> TrainedVariant:
-    """Train one named variant for one setting.
+    """Train one named variant for one setting, from artifacts built over
+    the domains it trains on (`VARIANTS[model].domains`).
 
-    pada and pada-nc share a single mixture training run (they differ
-    only in how the classifier input is built at prediction time); the
-    optional cache carries it between the two.
+    The optional cache keeps the runs another entry reuses (see
+    `_reused`), keyed by recipe, training domains and seed.
     """
-    if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    vocab = artifacts.vocab
-    label_set = dataset.label_set
-    model_cfg = cfg.model_config(len(vocab.id_to_token), len(label_set))
-    sources = tuple(setting.sources)
-
-    if model in ("pada", "pada-nc"):
-        key = ("mixture", setting.target, seed)
-        trained = cache.get(key) if cache is not None else None
-        if trained is None:
-            trained = train_mixture_model(dataset, setting, artifacts, cfg, seed, metric)
-            if cache is not None:
-                cache[key] = trained
-        if model == "pada":
-            return trained
-        return TrainedVariant(
-            model="pada-nc", model_cfg=trained.model_cfg, vocab=vocab,
-            label_set=trained.label_set, positive_class=trained.positive_class,
-            sources=sources, target=setting.target, params=trained.params,
-            logs=trained.logs, best_epoch=trained.best_epoch, best_dev=trained.best_dev,
+    variant = _variant(model)
+    domains = variant.domains(dataset, setting)
+    if artifacts.domains != domains:
+        raise ValueError(
+            f"{model} trains on {list(domains)}; the artifacts cover {list(artifacts.domains)}")
+    key = (variant.fit, domains, seed)
+    trained = cache.get(key) if cache is not None else None
+    if trained is None:
+        vocab = artifacts.vocab
+        base = TrainedVariant(
+            model=model,
+            model_cfg=cfg.model_config(len(vocab.id_to_token), len(dataset.label_set)),
+            vocab=vocab,
+            label_set=tuple(dataset.label_set),
+            positive_class=dataset.positive_class,
+            sources=tuple(setting.sources),
+            target=setting.target,
         )
+        beam_cfg = cfg.beam_config()
 
-    dev = _pooled_dev(dataset, sources)
-    dev_gold = [ex.label for ex in dev]
+        def eval_fn_for(predict, dev):
+            return lambda params: _score(
+                predict, replace(base, params=params), dev, metric, beam_cfg)[0]
 
-    if model == "pada-dn":
-        def eval_fn(params):
-            probs = dn_predict_many(model_cfg, params, vocab, dev, sources)
-            return metric.score(dev_gold, probs_to_labels(probs, label_set), label_set)
-
-        result = train(
-            model_cfg, vocab, label_set,
-            _mixture_pairs(dataset, sources, artifacts),
-            cfg.train_config(seed), eval_fn, prompt_style="name",
-        )
-        return TrainedVariant(
-            model="pada-dn", model_cfg=model_cfg, vocab=vocab,
-            label_set=tuple(label_set), positive_class=dataset.positive_class,
-            sources=sources, target=setting.target, params=result.params,
-            logs=result.log, best_epoch=result.best_epoch, best_dev=result.best_dev,
-        )
-
-    if model == "noda":
-        def eval_fn(params):
-            probs = classify_many(model_cfg, params, vocab, dev)
-            return metric.score(dev_gold, probs_to_labels(probs, label_set), label_set)
-
-        result = train_classifier_only(
-            model_cfg, vocab, label_set, dataset.train_examples(sources),
-            cfg.train_config(seed), eval_fn,
-        )
-        return TrainedVariant(
-            model="noda", model_cfg=model_cfg, vocab=vocab,
-            label_set=tuple(label_set), positive_class=dataset.positive_class,
-            sources=sources, target=setting.target, params=result.params,
-            logs=result.log, best_epoch=result.best_epoch, best_dev=result.best_dev,
-        )
-
-    if model == "moe":
-        def eval_fn_for(domain):
-            domain_dev = list(dataset.dev[domain])
-            gold = [ex.label for ex in domain_dev]
-
-            def eval_fn(params):
-                probs = classify_many(model_cfg, params, vocab, domain_dev)
-                return metric.score(gold, probs_to_labels(probs, label_set), label_set)
-
-            return eval_fn
-
-        ensemble, results = train_experts(
-            model_cfg, vocab, label_set,
-            {d: dataset.train[d] for d in sources},
-            cfg.train_config(seed), eval_fn_for,
-        )
-        logs = []
-        for d in ensemble.domains:
-            for rec in results[d].log:
-                logs.append({"domain": d, **rec})
-        return TrainedVariant(
-            model="moe", model_cfg=model_cfg, vocab=vocab,
-            label_set=tuple(label_set), positive_class=dataset.positive_class,
-            sources=sources, target=setting.target, ensemble=ensemble, logs=logs,
-            best_epoch=max(results[d].best_epoch for d in ensemble.domains),
-        )
-
-    # ub: sees every domain's training data, including the target's.
-    # The training run is setting-invariant, so it is cached by seed.
-    all_domains = tuple(dataset.domains)
-    key = ("ub", seed)
-    cached = cache.get(key) if cache is not None else None
-    if cached is None:
-        ub_vocab = (
-            artifacts.vocab if artifacts.domains == all_domains
-            else build_vocabulary(dataset, all_domains)
-        )
-        ub_model_cfg = cfg.model_config(len(ub_vocab.id_to_token), len(label_set))
-        all_dev = _pooled_dev(dataset, all_domains)
-        all_gold = [ex.label for ex in all_dev]
-
-        def eval_fn(params):
-            probs = classify_many(ub_model_cfg, params, ub_vocab, all_dev)
-            return metric.score(all_gold, probs_to_labels(probs, label_set), label_set)
-
-        result = train_classifier_only(
-            ub_model_cfg, ub_vocab, label_set, dataset.train_examples(all_domains),
-            cfg.train_config(seed), eval_fn,
-        )
-        cached = (ub_model_cfg, ub_vocab, result)
-        if cache is not None:
-            cache[key] = cached
-    ub_model_cfg, ub_vocab, result = cached
-    return TrainedVariant(
-        model="ub", model_cfg=ub_model_cfg, vocab=ub_vocab,
-        label_set=tuple(label_set), positive_class=dataset.positive_class,
-        sources=sources, target=setting.target, params=result.params,
-        logs=result.log, best_epoch=result.best_epoch, best_dev=result.best_dev,
-    )
+        trained = variant.fit(base, dataset, domains, artifacts, cfg.train_config(seed),
+                              eval_fn_for)
+        if cache is not None and _reused(variant):
+            cache[key] = trained
+    return replace(trained, model=model, sources=tuple(setting.sources), target=setting.target)
 
 
 def variant_probs(
@@ -473,23 +460,7 @@ def variant_probs(
 ) -> tuple[np.ndarray, list[GeneratedPrompt] | None]:
     """Class probabilities [N, C] under a trained variant's own input
     construction; the prompt list is non-None only for the two-step model."""
-    m = trained.model
-    if m == "pada":
-        return pada_predict_many(
-            trained.model_cfg, trained.params, trained.vocab, examples, beam_cfg
-        )
-    if m == "moe":
-        return moe_predict_many(trained.ensemble, trained.vocab, examples), None
-    if m == "pada-dn":
-        return (
-            dn_predict_many(
-                trained.model_cfg, trained.params, trained.vocab, examples, trained.sources
-            ),
-            None,
-        )
-    if m in ("pada-nc", "noda", "ub"):
-        return classify_many(trained.model_cfg, trained.params, trained.vocab, examples), None
-    raise ValueError(f"unknown model {m!r}")
+    return _variant(trained.model).predict(trained, examples, beam_cfg)
 
 
 def run_setting(
@@ -505,39 +476,34 @@ def run_setting(
 ) -> ExperimentReport:
     """Train one variant in one setting and score both sides of the shift.
 
-    The upper-bound variant is scored on the target's dev split (its
-    training saw the target's training split); every other variant is
-    scored on the full held-out target domain.
+    A variant that trains on every domain is scored on the target's dev
+    split (its training saw the target's training split); every other
+    variant is scored on the full held-out target domain.
     """
     seed = cfg.seed if seed is None else seed
     metric = metric if metric is not None else metric_for_dataset(dataset)
+    variant = _variant(model)
     if artifacts is None:
-        domains = tuple(dataset.domains) if model == "ub" else tuple(setting.sources)
-        artifacts = build_artifacts(dataset, domains, cfg)
+        artifacts = build_artifacts(dataset, variant.domains(dataset, setting), cfg)
     trained = train_variant(dataset, setting, model, artifacts, cfg, seed, metric, cache)
 
-    if model == "ub":
+    beam_cfg = cfg.beam_config()
+    if variant.all_domains:
         test_examples = list(dataset.dev[setting.target])
         target_split = "dev"
     else:
         test_examples = dataset.target_test_examples(setting.target)
         target_split = "test"
-    gold = [ex.label for ex in test_examples]
-    probs, prompts = variant_probs(trained, test_examples, cfg.beam_config())
-    target_f1 = metric.score(gold, probs_to_labels(probs, dataset.label_set), dataset.label_set)
+    target_f1, prompts = _score(variant.predict, trained, test_examples, metric, beam_cfg)
     fallbacks = sum(1 for p in prompts if p.used_fallback) if prompts else 0
 
-    dev = _pooled_dev(dataset, setting.sources)
-    dev_gold = [ex.label for ex in dev]
-    if model in ("pada", "pada-dn", "noda") and not np.isnan(trained.best_dev):
+    if variant.dev_is_source_f1 and not np.isnan(trained.best_dev):
         # Training already scored this variant end-to-end on the pooled
         # source dev set; reuse the selected checkpoint's score.
         source_dev_f1 = trained.best_dev
     else:
-        dev_probs, _ = variant_probs(trained, dev, cfg.beam_config())
-        source_dev_f1 = metric.score(
-            dev_gold, probs_to_labels(dev_probs, dataset.label_set), dataset.label_set
-        )
+        source_dev_f1, _ = _score(
+            variant.predict, trained, dataset.dev_examples(setting.sources), metric, beam_cfg)
 
     return ExperimentReport(
         target=setting.target,
@@ -686,24 +652,26 @@ def run_loo(
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
 
-    ub_art = build_artifacts(dataset, dataset.domains, cfg) if "ub" in models else None
-    # The upper bound trains once per seed and serves every setting; the
-    # mixture model that pada and pada-nc share is dropped as soon as
-    # its (setting, seed) is done.
+    all_domains = tuple(dataset.domains)
+    every_art = (build_artifacts(dataset, all_domains, cfg)
+                 if any(VARIANTS[m].all_domains for m in models) else None)
+    # A run trained on every domain serves every setting; one that
+    # pada and pada-nc share is dropped as soon as its (setting, seed)
+    # is done.
     cache: dict = {}
     per_cell_reports: dict[tuple[str, str], list[ExperimentReport]] = {}
     for setting in settings:
         source_art = build_artifacts(dataset, setting.sources, cfg)
         for seed in seeds:
             for model in models:
-                art = ub_art if model == "ub" else source_art
+                art = every_art if VARIANTS[model].all_domains else source_art
                 report = run_setting(
                     dataset, setting, model, cfg,
                     seed=seed, metric=metric, artifacts=art, cache=cache,
                     config_hash=config_hash,
                 )
                 per_cell_reports.setdefault((model, setting.target), []).append(report)
-            cache.pop(("mixture", setting.target, seed), None)
+            cache = {key: run for key, run in cache.items() if key[1] == all_domains}
 
     targets = [s.target for s in settings]
     flat = [reports[0] for reports in per_cell_reports.values()]
@@ -760,7 +728,7 @@ def grid_search_alpha(
     scores: dict[float, float] = {}
     for alpha in values:
         trial_cfg = ExperimentConfig(**{**asdict(cfg), "alpha": float(alpha)})
-        trained = train_mixture_model(dataset, setting, artifacts, trial_cfg, cfg.seed, metric)
+        trained = train_variant(dataset, setting, "pada", artifacts, trial_cfg, cfg.seed, metric)
         scores[float(alpha)] = float(trained.best_dev)
     best = min(scores, key=lambda a: (-scores[a], a))
     return best, scores
@@ -815,32 +783,40 @@ def save_model_dir(
         artifacts.embeddings.write_text(profiles / "embeddings.txt")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in `path`; anything else is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON {what} ({e})") from e
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def json_entry(path, obj: dict, key: str, ok, what: str):
+    """obj[key] if `ok` accepts it, else a ValueError naming `path`."""
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    if not ok(obj[key]):
+        raise ValueError(f"{path}: {key} must be {what}, got {obj[key]!r}")
+    return obj[key]
+
+
 def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:
     model_dir = Path(model_dir)
     manifest_path = model_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {model_dir}")
-    try:
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ValueError(f"{manifest_path}: not a JSON manifest ({e})") from e
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
-
-    def entry(key, ok, what):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r}")
-        value = manifest[key]
-        if not ok(value):
-            raise ValueError(f"{manifest_path}: {key} must be {what}, got {value!r}")
-        return value
+    manifest = read_json_object(manifest_path, "manifest")
+    entry = partial(json_entry, manifest_path, manifest)
 
     def is_str_list(v):
         return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
     cfg = config_from_dict(ExperimentConfig, manifest.get("config"), f"{manifest_path}: config")
-    model = entry("model", lambda v: isinstance(v, str), "a string")
+    model = entry("model", lambda v: v in MODEL_NAMES, f"one of {MODEL_NAMES}")
     sources = tuple(entry("sources", is_str_list, "a list of strings"))
     label_set = tuple(entry("label_set", is_str_list, "a list of strings"))
     positive_class = entry("positive_class", lambda v: v is None or isinstance(v, str),

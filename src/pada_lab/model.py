@@ -525,16 +525,6 @@ def classify(cfg: ModelConfig, params: dict, states, mask) -> np.ndarray:
     return logp
 
 
-def classify_tokens(cfg: ModelConfig, params: dict, id_seqs) -> np.ndarray:
-    """encode + classify for a list of id sequences; log-probs [B,C]."""
-    ids, mask = pad_batch(id_seqs)
-    P = _f64(params)
-    _check_ids(cfg, ids, mask, cfg.max_input_len, "input")
-    states, _ = _encoder_fwd(cfg, P, ids, mask)
-    logp, _ = _classify_fwd(cfg, P, states, mask)
-    return logp
-
-
 class DecoderState(NamedTuple):
     """Incremental decoding of R rows over one encoder batch of B rows;
     `advance_decoder` is told which encoder row each row reads.

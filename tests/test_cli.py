@@ -239,6 +239,15 @@ def loo_dir(data_path, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def pada_noda_loo_dir(data_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "loo-pada-noda"
+    rc = main(["run-loo", "--data", str(data_path), "--out", str(out),
+               "--models", "pada,noda", *TINY_MODEL_FLAGS])
+    assert rc == 0
+    return out
+
+
 class TestTrainPredictRoundTrip:
     def test_model_dir_contents(self, noda_dir):
         assert (noda_dir / "manifest.json").exists()
@@ -299,6 +308,7 @@ class TestTrainPredictRoundTrip:
         ("trailing", "checkpoint.bin"),
         ("tensor shape", "checkpoint.bin"),
         ("manifest not an object", "manifest.json"),
+        ("unknown model", "manifest.json"),
         ("vocab not a token list", "vocab.json"),
     ])
     def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
@@ -317,6 +327,10 @@ class TestTrainPredictRoundTrip:
             edit_checkpoint_header(ckpt, lambda h: h.update(d_ffn=16))
         elif damage == "manifest not an object":
             (model / "manifest.json").write_text("[]\n")
+        elif damage == "unknown model":
+            manifest = json.loads((model / "manifest.json").read_text())
+            manifest["model"] = "fancy"
+            (model / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "vocab not a token list":
             (model / "vocab.json").write_text('{"tokens": 5}')
         elif damage == "truncated":
@@ -428,12 +442,53 @@ class TestRunLooAndReport:
         assert (out / "aggregate.csv").read_bytes() == (loo_dir / "aggregate.csv").read_bytes()
         assert (out / "shifts.svg").read_bytes() == (loo_dir / "shifts.svg").read_bytes()
 
-    def test_report_rebuilds_from_cells(self, loo_dir, tmp_path):
+    def test_report_rebuilds_from_cells(self, pada_noda_loo_dir, tmp_path):
+        # rows follow the model table (pada before noda), not the alphabet,
+        # so a report into the run dir itself rewrites the same bytes
+        run = tmp_path / "run"
+        shutil.copytree(pada_noda_loo_dir, run)
         out = tmp_path / "rebuilt"
-        rc = main(["report", "--run-dir", str(loo_dir), "--out", str(out)])
-        assert rc == 0
-        assert (out / "aggregate.csv").read_bytes() == (loo_dir / "aggregate.csv").read_bytes()
-        assert (out / "shifts.svg").read_bytes() == (loo_dir / "shifts.svg").read_bytes()
+        assert main(["report", "--run-dir", str(run), "--out", str(out)]) == 0
+        assert main(["report", "--run-dir", str(run)]) == 0
+        for rebuilt in (out, run):
+            for name in ("aggregate.csv", "shifts.svg"):
+                assert (rebuilt / name).read_bytes() == (pada_noda_loo_dir / name).read_bytes()
+        rows = (run / "aggregate.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["pada", "noda"]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: "[]\n", "expected a JSON object, got list"),
+        (lambda c: json.dumps(c)[:-1], "not a JSON cell report"),
+        (lambda c: json.dumps({k: v for k, v in c.items() if k != "target"}),
+         "missing key 'target'"),
+        (lambda c: json.dumps({**c, "model": "fancy"}), "model must be one of"),
+        (lambda c: json.dumps({**c, "target": 5}), "target must be a string"),
+        (lambda c: json.dumps({**c, "target_f1": True}),
+         "target_f1 must be a number in [0, 1], got True"),
+        (lambda c: json.dumps({**c, "target_f1": 1.5}), "target_f1 must be"),
+        (lambda c: json.dumps({**c, "target_f1": float("nan")}), "target_f1 must be"),
+        (lambda c: json.dumps({**c, "shift": "0.1"}), "shift must be"),
+        (lambda c: json.dumps({**c, "shift": float("inf")}), "shift must be"),
+    ], ids=["array", "bad json", "no target", "unknown model", "target not a string",
+            "bool f1", "f1 above 1", "nan f1", "string shift", "infinite shift"])
+    def test_report_rejects_bad_cell(self, loo_dir, tmp_path, capsys, edit, message):
+        run = tmp_path / "run"
+        shutil.copytree(loo_dir, run)
+        cell = run / "cells" / "noda__aurora.json"
+        cell.write_text(edit(json.loads(cell.read_text())))
+        out = tmp_path / "out"
+        assert main(["report", "--run-dir", str(run), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noda__aurora.json" in err and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_report_rejects_a_second_cell_for_one_pair(self, loo_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(loo_dir, run)
+        shutil.copy(run / "cells" / "noda__aurora.json", run / "cells" / "copy.json")
+        assert main(["report", "--run-dir", str(run), "--out", str(tmp_path / "out")]) == 1
+        assert "a second report for model 'noda', target 'aurora'" in capsys.readouterr().err
 
     def test_report_needs_cells(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1

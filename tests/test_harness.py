@@ -1,9 +1,11 @@
+import collections
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pada_lab import training
 from pada_lab.corpus import Example, LeaveOneOutSetting, MultiDomainDataset
 from pada_lab.harness import (
     FULL_SCALE_MEAN_ABS_SHIFT,
@@ -12,7 +14,6 @@ from pada_lab.harness import (
     ExperimentReport,
     MetricSpec,
     TrainedVariant,
-    _pooled_dev,
     build_artifacts,
     grid_search_alpha,
     load_model_dir,
@@ -144,7 +145,7 @@ class TestBuildArtifacts:
 class TestPooledDev:
     def test_pooled_set_is_the_concatenation(self):
         ds = small_dataset()
-        pooled = _pooled_dev(ds, ("rivers", "forests"))
+        pooled = ds.dev_examples(("rivers", "forests"))
         assert len(pooled) == len(ds.dev["rivers"]) + len(ds.dev["forests"])
         assert [ex.domain for ex in pooled] == ["rivers"] * 2 + ["forests"] * 2
 
@@ -316,6 +317,14 @@ class TestRunSetting:
         with pytest.raises(ValueError, match="unknown model"):
             run_setting(ds, self.setting(ds), "fancy", small_cfg())
 
+    def test_artifacts_must_cover_the_training_domains(self):
+        ds = small_dataset()
+        cfg = small_cfg()
+        setting = self.setting(ds)
+        art = build_artifacts(ds, setting.sources, cfg)
+        with pytest.raises(ValueError, match="ub trains on"):
+            train_variant(ds, setting, "ub", art, cfg, 0, metric_for_dataset(ds))
+
 
 class TestRunLoo:
     def test_grid_outputs_and_reproducibility(self, tmp_path):
@@ -363,6 +372,29 @@ class TestRunLoo:
         assert agg == (tmp_path / "5" / "aggregate.csv").read_bytes()
         assert any(float(v) for v in agg.decode().splitlines()[1].split(",")[1:])
 
+    def test_training_runs_are_shared_as_before(self, tmp_path, monkeypatch):
+        """pada and pada-nc share one run per (setting, seed), the upper
+        bound trains once per seed for every setting, and no other run
+        is shared."""
+        runs = collections.Counter()
+        real = training.train
+
+        def counting(model_cfg, vocab, label_set, pairs, train_cfg, eval_fn, prompt_style="drf"):
+            kind = prompt_style if train_cfg.alpha > 0 else "bare"
+            runs[kind, len({ex.domain for ex, _ in pairs})] += 1
+            return real(model_cfg, vocab, label_set, pairs, train_cfg, eval_fn, prompt_style)
+
+        monkeypatch.setattr("pada_lab.harness.train", counting)
+        monkeypatch.setattr("pada_lab.baselines.train", counting)
+        run_loo(small_dataset(), MODEL_NAMES, small_cfg(), tmp_path, seeds=[0, 1])
+        assert runs == {
+            ("drf", 2): 6,  # pada and pada-nc: 3 settings x 2 seeds
+            ("name", 2): 6,  # pada-dn
+            ("bare", 2): 6,  # noda
+            ("bare", 1): 12,  # moe: one expert per source
+            ("bare", 3): 2,  # ub: one per seed
+        }
+
     def test_unknown_model_listed(self, tmp_path):
         with pytest.raises(ValueError, match="fancy"):
             run_loo(small_dataset(), ["fancy"], small_cfg(), tmp_path)
@@ -374,14 +406,15 @@ class TestRunLoo:
 
 class TestGridSearchAlpha:
     def scripted(self, monkeypatch, table):
-        def fake_train(dataset, setting, artifacts, cfg, seed, metric):
+        def fake_train(dataset, setting, model, artifacts, cfg, seed, metric, cache=None):
+            assert model == "pada"
             return TrainedVariant(
-                model="pada", model_cfg=None, vocab=artifacts.vocab,
+                model=model, model_cfg=None, vocab=artifacts.vocab,
                 label_set=("neg", "pos"), positive_class="pos",
                 sources=tuple(setting.sources), best_dev=table[cfg.alpha],
             )
 
-        monkeypatch.setattr("pada_lab.harness.train_mixture_model", fake_train)
+        monkeypatch.setattr("pada_lab.harness.train_variant", fake_train)
 
     def test_best_by_dev_score(self, monkeypatch):
         self.scripted(monkeypatch, {0.1: 0.5, 0.5: 0.8, 0.9: 0.6})

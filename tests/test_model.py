@@ -21,7 +21,6 @@ from pada_lab.model import (
     _logsumexp,
     advance_decoder,
     classify,
-    classify_tokens,
     decode_step,
     encode,
     init_params,
@@ -44,6 +43,12 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def encode_and_classify(cfg, params, seqs):
+    """Class log-probs [B, C] for unpadded id sequences."""
+    ids, mask = pad_batch(seqs)
+    return classify(cfg, params, encode(cfg, params, ids, mask), mask)
 
 
 class TestModelConfig:
@@ -146,23 +151,15 @@ class TestClassify:
     def test_log_probs_normalized(self):
         cfg = tiny_cfg(n_classes=3)
         p = init_params(cfg)
-        logp = classify_tokens(cfg, p, [[6, 7, 8], [9] * 5])
+        logp = encode_and_classify(cfg, p, [[6, 7, 8], [9] * 5])
         assert logp.shape == (2, 3)
         assert np.allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
-
-    def test_matches_encode_then_classify(self):
-        cfg = tiny_cfg()
-        p = init_params(cfg)
-        seqs = [[6, 7, 8, 9], [10, 11]]
-        ids, mask = pad_batch(seqs)
-        states = encode(cfg, p, ids, mask)
-        assert np.allclose(classify(cfg, p, states, mask), classify_tokens(cfg, p, seqs))
 
     def test_batch_row_independent_of_neighbours(self):
         cfg = tiny_cfg()
         p = init_params(cfg)
-        alone = classify_tokens(cfg, p, [[6, 7, 8]])
-        batched = classify_tokens(cfg, p, [[6, 7, 8], [9, 10, 11, 6]])
+        alone = encode_and_classify(cfg, p, [[6, 7, 8]])
+        batched = encode_and_classify(cfg, p, [[6, 7, 8], [9, 10, 11, 6]])
         assert np.allclose(alone[0], batched[0], atol=1e-10)
 
     def test_all_padding_rejected(self):
@@ -405,7 +402,7 @@ class TestLossAndGrads:
         p = init_params(cfg)
         seqs, classes = [[6, 7, 8], [9, 10]], [0, 1]
         loss, _ = loss_and_grads(cfg, p, disc_batch(cfg, seqs, classes))
-        logp = classify_tokens(cfg, p, seqs)
+        logp = encode_and_classify(cfg, p, seqs)
         want = -np.mean([logp[i, c] for i, c in enumerate(classes)])
         assert loss == pytest.approx(want, abs=1e-12)
 
