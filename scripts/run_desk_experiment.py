@@ -10,15 +10,14 @@ heatmap land under --out.
 from __future__ import annotations
 
 import argparse
-import statistics
 import time
 from dataclasses import replace
 
 from pada_lab.corpus import SyntheticSpec, generate_synthetic, ingest_jsonl
-from pada_lab.harness import ExperimentConfig, run_loo
+from pada_lab.harness import ExperimentConfig, run_loo, summary_table
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("--out", default="runs/desk", help="output directory")
     ap.add_argument("--data", default=None, help="JSONL corpus; omitted = synthesize")
@@ -29,7 +28,7 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=None)
     ap.add_argument("--seed", type=int, default=None,
                     help="overrides both the corpus seed and the training seed")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = ExperimentConfig()
     overrides = {
@@ -53,16 +52,7 @@ def main() -> int:
     cells = run_loo(dataset, models, cfg, args.out, seeds=seeds)
     wall = time.perf_counter() - t0
 
-    targets = list(dataset.domains)
-    width = max(len(m) for m in models)
-    header = " ".join(f"{t:>10}" for t in targets)
-    print(f"{'model':<{width}} {header} {'mean F1':>10} {'m|shift|':>10}")
-    for m in models:
-        f1s = [cells[(m, t)]["target_f1"] for t in targets]
-        shifts = [abs(cells[(m, t)]["shift"]) for t in targets]
-        row = " ".join(f"{v:>10.4f}" for v in f1s)
-        print(f"{m:<{width}} {row} {statistics.mean(f1s):>10.4f} "
-              f"{statistics.mean(shifts):>10.4f}")
+    print(summary_table(cells))
     print(f"\n{wall:.1f}s wall; reports in {args.out}")
     return 0
 

@@ -19,13 +19,13 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
-    SEP_TOKEN,
     Example,
     IngestSchema,
     LeaveOneOutSetting,
     SyntheticSpec,
     generate_synthetic,
     ingest_jsonl,
+    read_records,
     write_jsonl,
 )
 from .harness import (
@@ -34,19 +34,16 @@ from .harness import (
     ExperimentConfig,
     MetricSpec,
     build_artifacts,
-    json_entry,
     load_model_dir,
     metric_for_dataset,
-    read_json_object,
-    render_shift_svg,
+    pada_candidates_many,
+    read_run_cells,
     run_loo,
     save_model_dir,
+    summary_table,
     train_variant,
-    variant_probs,
-    write_aggregate_csv,
+    write_run_report,
 )
-from .inference import generate_candidates_many
-from .model import _f64
 
 
 class UsageError(Exception):
@@ -339,34 +336,11 @@ def _cmd_train(merged: dict, rc_hash: str) -> int:
 
 
 def _read_predict_records(path, schema: IngestSchema) -> list[Example]:
-    """Unlabeled-friendly JSONL reader for predict: text is required,
-    label and domain are carried through when present."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"line {n}: malformed JSON ({e.msg})") from e
-            if schema.premise in rec and schema.hypothesis in rec:
-                text = f"{rec[schema.premise]} {SEP_TOKEN} {rec[schema.hypothesis]}"
-            elif schema.text in rec:
-                text = rec[schema.text]
-            else:
-                raise ValueError(f"line {n}: no {schema.text!r} or premise/hypothesis fields")
-            out.append(
-                Example(
-                    id=str(rec.get(schema.id, f"r{n}")),
-                    text=text,
-                    label=str(rec.get(schema.label, "")),
-                    domain=str(rec.get(schema.domain, "")),
-                )
-            )
-    if not out:
-        raise ValueError(f"empty input: {path}")
-    return out
+    """Examples for predict: label and domain are carried through when
+    present, and an example without an id is named by its line."""
+    return [Example(id=rec.get("id", f"r{n}"), text=rec["text"],
+                    label=rec.get("label", ""), domain=rec.get("domain", ""))
+            for n, rec in read_records(path, schema)]
 
 
 def _cmd_predict(merged: dict, rc_hash: str) -> int:
@@ -378,18 +352,11 @@ def _cmd_predict(merged: dict, rc_hash: str) -> int:
     beam_cfg = cfg.beam_config()
 
     candidate_lists = None
-    if trained.model == "pada":
-        params = _f64(trained.params)  # once, not once per call
-        candidate_lists = generate_candidates_many(
-            trained.model_cfg, params, trained.vocab, examples, beam_cfg)
-        from .baselines import classify_many
-
-        probs = classify_many(
-            trained.model_cfg, params, trained.vocab, examples,
-            prompts=[cands[0].prompt_ids for cands in candidate_lists],
-        )
+    if trained.model == "pada":  # every candidate is written, not the best alone
+        probs, candidate_lists = pada_candidates_many(
+            trained.model_cfg, trained.params, trained.vocab, examples, beam_cfg)
     else:
-        probs, _ = variant_probs(trained, examples, beam_cfg)
+        probs, _ = VARIANTS[trained.model].predict(trained, examples, beam_cfg)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
@@ -429,57 +396,16 @@ def _cmd_run_loo(merged: dict, rc_hash: str) -> int:
     cells = run_loo(
         dataset, models, cfg, out, seeds=seeds, metric=metric, config_hash=rc_hash
     )
-    targets = sorted({t for _, t in cells})
-    print(f"{'model':<10} {'mean_f1':>8} {'mean_|shift|':>12}")
-    for m in models:
-        f1s = [cells[(m, t)]["target_f1"] for t in targets]
-        shifts = [abs(cells[(m, t)]["shift"]) for t in targets]
-        print(f"{m:<10} {sum(f1s)/len(f1s):>8.4f} {sum(shifts)/len(shifts):>12.4f}")
+    print(summary_table(cells))
     print(f"reports -> {out}")
     print(f"config hash: {rc_hash}")
     return 0
 
 
-def _read_cell(path) -> dict:
-    """One cell report of a run directory, checked for what `report` reads."""
-    cell = read_json_object(path, "cell report")
-
-    def number_in(lo, hi):  # a range check also rejects NaN and infinities
-        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
-
-    json_entry(path, cell, "model", lambda v: v in MODEL_NAMES, f"one of {MODEL_NAMES}")
-    json_entry(path, cell, "target", lambda v: isinstance(v, str), "a string")
-    json_entry(path, cell, "target_f1", number_in(0.0, 1.0), "a number in [0, 1]")
-    json_entry(path, cell, "shift", number_in(-1.0, 1.0), "a number in [-1, 1]")  # dev - test
-    return cell
-
-
 def _cmd_report(merged: dict, rc_hash: str) -> int:
     run_dir = Path(_require(merged, "run_dir"))
     out = Path(merged["out"]) if merged.get("out") else run_dir
-    cells_dir = run_dir / "cells"
-    if not cells_dir.is_dir():
-        raise ValueError(f"no cells/ directory under {run_dir}")
-    cells = {}
-    for path in sorted(cells_dir.glob("*.json")):
-        cell = _read_cell(path)
-        key = (cell["model"], cell["target"])
-        if key in cells:
-            raise ValueError(f"{path}: a second report for model {key[0]!r}, target {key[1]!r}")
-        cells[key] = cell
-    if not cells:
-        raise ValueError(f"no cell reports under {cells_dir}")
-    present = {m for m, _ in cells}
-    models = [m for m in MODEL_NAMES if m in present]  # the table's order
-    targets = sorted({t for _, t in cells})
-    for m in models:
-        for t in targets:
-            if (m, t) not in cells:
-                raise ValueError(f"missing report for model {m!r}, target {t!r}")
-    out.mkdir(parents=True, exist_ok=True)
-    write_aggregate_csv(out / "aggregate.csv", cells, models, targets)
-    with open(out / "shifts.svg", "w") as f:
-        f.write(render_shift_svg(cells, models, targets))
+    models, targets = write_run_report(out, read_run_cells(run_dir))
     print(f"aggregate over {len(models)} models x {len(targets)} targets -> {out}")
     return 0
 

@@ -220,51 +220,94 @@ class IngestSchema:
     positive_class: str | None = None
 
 
-def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainDataset:
-    """Read a JSONL corpus into per-domain splits.
+def json_entry(where, obj: dict, key: str, ok, what: str):
+    """obj[key] if `ok` accepts it, else a ValueError naming `where`."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    if not ok(obj[key]):
+        raise ValueError(f"{where}: {key} must be {what}, got {obj[key]!r}")
+    return obj[key]
 
-    Records carrying a split field are placed accordingly; when no record
-    declares a split, each domain is split 4:1 into train/dev in file
-    order. Sentence-pair records are joined into a single text with one
-    separator marker between the parts.
+
+# (check, description) pairs for json_entry; a bool is not an integer here
+_STRING = (lambda v: isinstance(v, str), "a string")
+_STRING_OR_INT = (
+    lambda v: isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)),
+    "a string or an integer",
+)
+
+
+def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int, dict]]:
+    """Each non-blank line of a JSONL file as (line number, fields).
+
+    The fields are "text", which is the text field when present and
+    otherwise the premise and hypothesis joined by one separator marker,
+    and "label", "domain", "id" and "split" when the record has them,
+    all as strings. Every field must be a JSON string, except that a
+    label or an id may also be an integer. A line that is not a JSON
+    object, or has no text, or a field of another type, raises a
+    ValueError naming the line and the field.
     """
+    optional = {"label": _STRING_OR_INT, "domain": _STRING, "id": _STRING_OR_INT,
+                "split": _STRING}
     records = []
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            where = f"line {n}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"line {n}: malformed JSON ({e.msg})") from e
-            records.append((n, rec))
+                raise ValueError(f"{where}: malformed JSON ({e.msg})") from e
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+            if schema.text in rec:
+                text = json_entry(where, rec, schema.text, *_STRING)
+            elif schema.premise in rec and schema.hypothesis in rec:
+                premise, hypothesis = (json_entry(where, rec, k, *_STRING)
+                                       for k in (schema.premise, schema.hypothesis))
+                text = f"{premise} {SEP_TOKEN} {hypothesis}"
+            else:
+                raise ValueError(f"{where}: no {schema.text!r} or sentence-pair fields")
+            fields = {"text": text}
+            for key, kind in optional.items():
+                name = getattr(schema, key)
+                if name in rec:
+                    fields[key] = str(json_entry(where, rec, name, *kind))
+            records.append((n, fields))
     if not records:
-        raise ValueError(f"empty dataset: {path}")
+        raise ValueError(f"empty input: {path}")
+    return records
 
+
+def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainDataset:
+    """Read a JSONL corpus (see `read_records`) into per-domain splits.
+
+    Records carrying a split field are placed accordingly; when no record
+    declares a split, each domain is split 4:1 into train/dev in file
+    order.
+    """
+    records = read_records(path, schema)
     domains: list[str] = []
     by_split: dict[str, dict[str, list[Example]]] = {s: {} for s in _SPLITS}
     unsplit: dict[str, list[Example]] = {}
     seen_labels: list[str] = []
-    any_split = any(schema.split in rec for _, rec in records)
+    any_split = any("split" in rec for _, rec in records)
 
     for n, rec in records:
-        if schema.text in rec:
-            text = str(rec[schema.text])
-        elif schema.premise in rec and schema.hypothesis in rec:
-            text = f"{rec[schema.premise]} {SEP_TOKEN} {rec[schema.hypothesis]}"
-        else:
-            raise ValueError(f"line {n}: no {schema.text!r} or sentence-pair fields")
-        if schema.label not in rec:
+        text = rec["text"]
+        if "label" not in rec:
             raise ValueError(f"line {n}: missing {schema.label!r} field")
-        label = str(rec[schema.label])
+        label = rec["label"]
         if schema.labels is not None and label not in schema.labels:
             raise ValueError(
                 f"line {n}: unknown label {label!r}, declared set {list(schema.labels)}"
             )
-        if schema.domain not in rec or not str(rec[schema.domain]):
+        domain = rec.get("domain", "")
+        if not domain:
             raise ValueError(f"line {n}: missing or empty {schema.domain!r} field")
-        domain = str(rec[schema.domain])
-        ex_id = str(rec.get(schema.id, f"{domain}-{n}"))
+        ex_id = rec.get("id", f"{domain}-{n}")
         if not tokenize(text):
             raise ValueError(f"line {n}: text empty after tokenization")
         if domain not in domains:
@@ -273,7 +316,7 @@ def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainData
             seen_labels.append(label)
         ex = Example(id=ex_id, text=text, label=label, domain=domain)
         if any_split:
-            split = str(rec.get(schema.split, "train"))
+            split = rec.get("split", "train")
             if split not in _SPLITS:
                 raise ValueError(f"line {n}: unknown split {split!r}")
             by_split[split].setdefault(domain, []).append(ex)

@@ -36,6 +36,7 @@ from .corpus import (
     MultiDomainDataset,
     Vocabulary,
     build_vocabulary,
+    json_entry,
     load_vocab,
     make_loo_settings,
     save_vocab,
@@ -198,6 +199,26 @@ def build_artifacts(
 # --- prediction paths -------------------------------------------------------
 
 
+def pada_candidates_many(
+    model_cfg: ModelConfig,
+    params: dict,
+    vocab: Vocabulary,
+    examples: Sequence[Example],
+    beam_cfg: BeamConfig,
+) -> tuple[np.ndarray, list[list[GeneratedPrompt]]]:
+    """Two-step prediction for a batch: prompt generation, decoding the
+    examples of one input length together, then one batched
+    classification over best prompt + SEP + text. Returns the class
+    probabilities and each example's `beam_cfg.num_candidates`
+    candidates, best first."""
+    params = _f64(params)  # once per request, not once per model call
+    candidates = generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)
+    probs = classify_many(
+        model_cfg, params, vocab, examples, prompts=[c[0].prompt_ids for c in candidates]
+    )
+    return probs, candidates
+
+
 def pada_predict_many(
     model_cfg: ModelConfig,
     params: dict,
@@ -205,23 +226,16 @@ def pada_predict_many(
     examples: Sequence[Example],
     beam_cfg: BeamConfig,
 ) -> tuple[np.ndarray, list[GeneratedPrompt]]:
-    """Two-step prediction for a batch: prompt generation, decoding the
-    examples of one input length together, then one batched
-    classification over prompt + SEP + text.
+    """`pada_candidates_many` with each example's best prompt alone.
 
-    Only each example's best candidate is used, so the search asks for
-    one, whatever `beam_cfg.num_candidates` says: an example then stops
-    as soon as its best finished score is above all its live ones, and
-    the prompt is the one a full search would rank first (see the
+    Only the best candidate is used, so the search asks for one,
+    whatever `beam_cfg.num_candidates` says: an example then stops as
+    soon as its best finished score is above all its live ones, and the
+    prompt is the one a full search would rank first (see the
     `inference` module docstring)."""
-    params = _f64(params)  # once per request, not once per model call
-    best_only = replace(beam_cfg, num_candidates=1)
-    prompts = [cands[0] for cands in
-               generate_candidates_many(model_cfg, params, vocab, examples, best_only)]
-    probs = classify_many(
-        model_cfg, params, vocab, examples, prompts=[p.prompt_ids for p in prompts]
-    )
-    return probs, prompts
+    probs, candidates = pada_candidates_many(
+        model_cfg, params, vocab, examples, replace(beam_cfg, num_candidates=1))
+    return probs, [c[0] for c in candidates]
 
 
 def probs_to_labels(probs: np.ndarray, label_set: Sequence[str]) -> list[str]:
@@ -347,7 +361,7 @@ class Variant:
 
 _FIT_DRF_MIXTURE = _fit_mixture("drf", _predict_pada)
 
-# The one definition of every model name; `report` rows follow its order.
+# The one definition of every model name; a run's table rows follow its order.
 VARIANTS = {
     "pada": Variant(_FIT_DRF_MIXTURE, _predict_pada, dev_is_source_f1=True),
     "pada-nc": Variant(_FIT_DRF_MIXTURE, _predict_bare),  # pada's run on bare text
@@ -453,16 +467,6 @@ def train_variant(
     return replace(trained, model=model, sources=tuple(setting.sources), target=setting.target)
 
 
-def variant_probs(
-    trained: TrainedVariant,
-    examples: Sequence[Example],
-    beam_cfg: BeamConfig,
-) -> tuple[np.ndarray, list[GeneratedPrompt] | None]:
-    """Class probabilities [N, C] under a trained variant's own input
-    construction; the prompt list is non-None only for the two-step model."""
-    return _variant(trained.model).predict(trained, examples, beam_cfg)
-
-
 def run_setting(
     dataset: MultiDomainDataset,
     setting: LeaveOneOutSetting,
@@ -524,23 +528,72 @@ def run_setting(
 # --- aggregation ------------------------------------------------------------
 
 
-def shift_matrix(
-    reports: Sequence[ExperimentReport],
-    models: Sequence[str],
-    targets: Sequence[str],
-) -> dict[tuple[str, str], ExperimentReport]:
-    """Index reports by (model, target), requiring a complete grid."""
-    by_cell: dict[tuple[str, str], ExperimentReport] = {}
-    for r in reports:
-        key = (r.model, r.target)
-        if key in by_cell:
-            raise ValueError(f"duplicate report for model {key[0]!r}, target {key[1]!r}")
-        by_cell[key] = r
+def _grid_axes(cells: dict[tuple[str, str], dict]) -> tuple[list[str], list[str]]:
+    """Rows and columns of a run's table: models in `VARIANTS` order and
+    targets in name order, which the cell files alone determine, so a
+    report rebuilt from them matches the run's. The grid must be complete."""
+    present = {m for m, _ in cells}
+    models = [m for m in MODEL_NAMES if m in present]
+    targets = sorted({t for _, t in cells})
     for m in models:
         for t in targets:
-            if (m, t) not in by_cell:
+            if (m, t) not in cells:
                 raise ValueError(f"missing report for model {m!r}, target {t!r}")
-    return by_cell
+    return models, targets
+
+
+def write_run_report(out_dir, cells: dict[tuple[str, str], dict]) -> tuple[list[str], list[str]]:
+    """A run's aggregate.csv and shifts.svg under `out_dir`, laid out by
+    `_grid_axes`; returns its models and targets."""
+    models, targets = _grid_axes(cells)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_aggregate_csv(out_dir / "aggregate.csv", cells, models, targets)
+    with open(out_dir / "shifts.svg", "w") as f:
+        f.write(render_shift_svg(cells, models, targets))
+    return models, targets
+
+
+def read_run_cells(run_dir) -> dict[tuple[str, str], dict]:
+    """The cell reports under `run_dir`/cells by (model, target), each
+    checked for what the run report reads."""
+    cells_dir = Path(run_dir) / "cells"
+    if not cells_dir.is_dir():
+        raise ValueError(f"no cells/ directory under {run_dir}")
+
+    def number_in(lo, hi):  # a range check also rejects NaN and infinities
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
+
+    cells: dict[tuple[str, str], dict] = {}
+    for path in sorted(cells_dir.glob("*.json")):
+        cell = read_json_object(path, "cell report")
+        entry = partial(json_entry, path, cell)
+        key = (entry("model", lambda v: v in MODEL_NAMES, f"one of {MODEL_NAMES}"),
+               entry("target", lambda v: isinstance(v, str), "a string"))
+        entry("target_f1", number_in(0.0, 1.0), "a number in [0, 1]")
+        entry("shift", number_in(-1.0, 1.0), "a number in [-1, 1]")  # dev - test
+        if key in cells:
+            raise ValueError(f"{path}: a second report for model {key[0]!r}, target {key[1]!r}")
+        cells[key] = cell
+    if not cells:
+        raise ValueError(f"no cell reports under {cells_dir}")
+    return cells
+
+
+def summary_table(cells: dict[tuple[str, str], dict]) -> str:
+    """The run's table as text, laid out by `_grid_axes`: target F1 per
+    target, then the mean F1 and the mean absolute shift."""
+    models, targets = _grid_axes(cells)
+    width = max(len(m) for m in ["model", *models])
+    heads = [*targets, "mean_f1", "mean_|shift|"]
+    col = max(len(h) for h in heads)
+    lines = [" ".join([f"{'model':<{width}}", *(f"{h:>{col}}" for h in heads)])]
+    for m in models:
+        f1s = [cells[(m, t)]["target_f1"] for t in targets]
+        shifts = [abs(cells[(m, t)]["shift"]) for t in targets]
+        values = [*f1s, statistics.mean(f1s), statistics.mean(shifts)]
+        lines.append(" ".join([f"{m:<{width}}", *(f"{v:>{col}.4f}" for v in values)]))
+    return "\n".join(lines)
 
 
 def write_aggregate_csv(
@@ -634,7 +687,8 @@ def run_loo(
 ) -> dict[tuple[str, str], dict]:
     """Full leave-one-out grid: every domain once as target, every
     requested model per setting. Writes per-cell JSON under cells/, an
-    aggregate CSV, and the shift heatmap. Returns the cell summaries.
+    aggregate CSV, and the shift heatmap (see `write_run_report`).
+    Returns the cell summaries.
 
     With several seeds each cell reruns per seed and the summary keeps
     the per-seed reports plus mean and population-sd scores; the CSV
@@ -673,10 +727,6 @@ def run_loo(
                 per_cell_reports.setdefault((model, setting.target), []).append(report)
             cache = {key: run for key, run in cache.items() if key[1] == all_domains}
 
-    targets = [s.target for s in settings]
-    flat = [reports[0] for reports in per_cell_reports.values()]
-    shift_matrix(flat, models, targets)  # completeness check
-
     cells: dict[tuple[str, str], dict] = {}
     for (model, target), reports in sorted(per_cell_reports.items()):
         f1s = [r.target_f1 for r in reports]
@@ -702,9 +752,7 @@ def run_loo(
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
 
-    write_aggregate_csv(out_dir / "aggregate.csv", cells, models, targets)
-    with open(out_dir / "shifts.svg", "w") as f:
-        f.write(render_shift_svg(cells, models, targets))
+    write_run_report(out_dir, cells)
     return cells
 
 
@@ -793,15 +841,6 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
-
-
-def json_entry(path, obj: dict, key: str, ok, what: str):
-    """obj[key] if `ok` accepts it, else a ValueError naming `path`."""
-    if key not in obj:
-        raise ValueError(f"{path}: missing key {key!r}")
-    if not ok(obj[key]):
-        raise ValueError(f"{path}: {key} must be {what}, got {obj[key]!r}")
-    return obj[key]
 
 
 def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:

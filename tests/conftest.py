@@ -52,6 +52,18 @@ def edit_checkpoint_header(path, edit) -> None:
     path.write_bytes(raw[:start] + struct.pack("<I", len(new)) + new + raw[start + 4 + hlen :])
 
 
+# One bad record per case: the edit of a valid record, and what the
+# ValueError names after "line <n>: " (the field, or the record's type).
+BAD_RECORDS = [
+    pytest.param(lambda r: 5, "expected a JSON object", id="bare number"),
+    pytest.param(lambda r: {**r, "label": ["pos"]}, "label", id="list label"),
+    pytest.param(lambda r: {**r, "domain": None}, "domain", id="null domain"),
+    pytest.param(lambda r: {**r, "text": 5}, "text", id="number text"),
+    pytest.param(lambda r: {**r, "text": {"a": "b"}}, "text", id="dict text"),
+    pytest.param(lambda r: {**r, "label": True}, "label", id="bool label"),
+]
+
+
 @pytest.fixture
 def two_domain_dataset() -> MultiDomainDataset:
     return make_dataset(

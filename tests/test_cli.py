@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,15 @@ from pada_lab.cli import (
 )
 from pada_lab.baselines import classify_many
 from pada_lab.corpus import Example, ingest_jsonl
-from pada_lab.harness import ExperimentConfig, build_artifacts, load_model_dir
+from pada_lab.harness import (
+    ExperimentConfig,
+    build_artifacts,
+    load_model_dir,
+    read_run_cells,
+    summary_table,
+)
 from pada_lab.inference import generate_candidates
-from tests.conftest import edit_checkpoint_header
+from tests.conftest import BAD_RECORDS, edit_checkpoint_header
 
 TINY_MODEL_FLAGS = [
     "--d-model", "8", "--n-layers", "1", "--n-heads", "2", "--d-ffn", "8",
@@ -419,6 +427,20 @@ class TestTrainPredictRoundTrip:
                      "--data", str(data), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1
 
+    def test_predict_reads_text_before_the_pair(self, pada_dir, data_path, tmp_path):
+        """A record with both reads as its text, as training reads it."""
+        text = json.loads(data_path.read_text().splitlines()[0])["text"]
+        data = tmp_path / "both.jsonl"
+        data.write_text(json.dumps({"text": text, "premise": "first half",
+                                    "hypothesis": "second half"}) + "\n"
+                        + json.dumps({"text": text}) + "\n")
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model-dir", str(pada_dir),
+                     "--data", str(data), "--out", str(out)]) == 0
+        both, text_only = [json.loads(line) for line in out.read_text().splitlines()]
+        assert both["class_probs"] == text_only["class_probs"]
+        assert both["candidates"] == text_only["candidates"]
+
 
 class TestRunLooAndReport:
     def test_outputs_exist(self, loo_dir):
@@ -483,6 +505,20 @@ class TestRunLooAndReport:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_report_rewrites_a_run_whose_domains_are_not_in_name_order(
+            self, data_path, tmp_path):
+        records = [json.loads(line) for line in data_path.read_text().splitlines()]
+        data = tmp_path / "reversed.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in
+                                sorted(records, key=lambda r: r["domain"], reverse=True)))
+        run = tmp_path / "run"
+        assert main(["run-loo", "--data", str(data), "--out", str(run),
+                     "--models", "noda,pada-dn", *TINY_MODEL_FLAGS]) == 0
+        written = {name: (run / name).read_bytes() for name in ("aggregate.csv", "shifts.svg")}
+        assert main(["report", "--run-dir", str(run)]) == 0
+        for name, raw in written.items():
+            assert (run / name).read_bytes() == raw
+
     def test_report_rejects_a_second_cell_for_one_pair(self, loo_dir, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(loo_dir, run)
@@ -505,3 +541,68 @@ class TestRunLooAndReport:
         rc = main(["run-loo", "--data", str(data_path), "--out", str(tmp_path / "x"),
                    "--models", "noda", "--seeds", "zero"])
         assert rc == 2
+
+    def test_desk_script_prints_the_summary_table(self, data_path, tmp_path, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
+        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "desk"
+        assert script.main(["--data", str(data_path), "--out", str(out),
+                            "--models", "noda", "--epochs", "1"]) == 0
+        assert summary_table(read_run_cells(out)) in capsys.readouterr().out
+
+
+# Strings keep to a small alphabet: a drawn domain name becomes a file name.
+_TEXTS = st.text(alphabet="ab XY09", max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["text", "label", "domain", "id", "split", "premise", "hypothesis"])
+        | st.text(alphabet="ab", max_size=2), inner, max_size=5),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def records(data_path):
+    return [json.loads(line) for line in data_path.read_text().splitlines()]
+
+
+class TestJsonlBoundary:
+    """Bad JSONL lines fail `predict` and `drf extract` with one error line."""
+
+    def commands(self, model_dir, data, out):
+        return [["predict", "--model-dir", str(model_dir), "--data", str(data),
+                 "--out", str(out / "preds.jsonl")],
+                ["drf", "extract", "--data", str(data), "--out", str(out / "drf"),
+                 "--k-drf", "3", "--d-emb", "4", "--window", "2"]]
+
+    @pytest.mark.parametrize("edit,named", BAD_RECORDS)
+    def test_bad_record_exits_1(self, noda_dir, records, tmp_path, capsys, edit, named):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in
+                                [records[0], edit(records[1]), *records[2:]]))
+        for argv in self.commands(noda_dir, data, tmp_path):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line 2: {named}") and err.count("\n") == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(damage=st.data())
+    def test_damaged_jsonl_exits_0_or_1(self, noda_dir, records, tmp_path_factory, damage):
+        """Replace one line with a drawn JSON value, or one field of its
+        record with one: each command exits 0 or 1 and never raises."""
+        at = damage.draw(st.integers(0, len(records) - 1), label="line")
+        if damage.draw(st.booleans(), label="whole line"):
+            line = damage.draw(_JSON_VALUES, label="value")
+        else:
+            key = damage.draw(st.sampled_from(sorted(records[at])), label="field")
+            value = damage.draw(st.integers() | _TEXTS | _JSON_VALUES, label="value")
+            line = {**records[at], key: value}
+        lines = [*records[:at], line, *records[at + 1:]]
+        out = tmp_path_factory.mktemp("damaged")
+        data = out / "data.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        for argv in self.commands(noda_dir, data, out):
+            assert main(argv) in (0, 1)

@@ -29,7 +29,7 @@ from pada_lab.corpus import (
     tokenize,
     write_jsonl,
 )
-from tests.conftest import make_dataset
+from tests.conftest import BAD_RECORDS, make_dataset
 
 
 class TestTokenize:
@@ -174,6 +174,17 @@ class TestIngest:
         p.write_text('{"text": "ok", "label": "x", "domain": "d"}\n{oops\n')
         with pytest.raises(ValueError, match="line 2"):
             ingest_jsonl(p)
+
+    @pytest.mark.parametrize("edit,named", BAD_RECORDS)
+    def test_bad_record_names_line_and_field(self, tmp_path, edit, named):
+        good = {"text": "a b", "label": "x", "domain": "d"}
+        with pytest.raises(ValueError, match=f"^line 2: {named}"):
+            ingest_jsonl(self.write(tmp_path, [good, edit(good)]))
+
+    def test_integer_label_and_id_accepted(self, tmp_path):
+        ds = ingest_jsonl(self.write(tmp_path, [{"text": "a b", "label": 1, "domain": "d", "id": 7}]))
+        assert ds.label_set == ["1"]
+        assert (ds.train["d"] + ds.dev["d"])[0].id == "7"
 
     def test_label_outside_declared_set_lists_it(self, tmp_path):
         p = self.write(tmp_path, [{"text": "a", "label": "zzz", "domain": "d"}])

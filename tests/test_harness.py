@@ -23,9 +23,9 @@ from pada_lab.harness import (
     run_loo,
     run_setting,
     save_model_dir,
-    shift_matrix,
     train_variant,
     write_aggregate_csv,
+    write_run_report,
 )
 from pada_lab.metrics import f1_binary
 from tests.conftest import make_dataset
@@ -186,36 +186,24 @@ class TestExperimentReport:
         assert d["target_split"] == "test"
 
 
-def report_stub(model, target, f1, shift):
-    return ExperimentReport(
-        target=target, sources=("s",), model=model, target_f1=f1,
-        source_dev_f1=f1 + shift, shift=shift, seed=0, config_hash="h",
-        log=(), best_epoch=0,
-    )
-
-
-class TestShiftMatrix:
-    def test_complete_grid_indexed(self):
-        reports = [
-            report_stub("noda", "a", 0.5, 0.1),
-            report_stub("noda", "b", 0.6, 0.2),
-        ]
-        cells = shift_matrix(reports, ["noda"], ["a", "b"])
-        assert cells[("noda", "a")].target_f1 == 0.5
-
-    def test_duplicate_cell_rejected(self):
-        reports = [report_stub("noda", "a", 0.5, 0.1)] * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            shift_matrix(reports, ["noda"], ["a"])
-
-    def test_missing_cell_named(self):
-        reports = [report_stub("noda", "a", 0.5, 0.1)]
-        with pytest.raises(ValueError, match=r"'noda'.*'b'"):
-            shift_matrix(reports, ["noda"], ["a", "b"])
-
-
 def cell_stub(f1, shift):
     return {"target_f1": f1, "shift": shift}
+
+
+class TestRunReport:
+    def test_rows_in_table_order_and_columns_in_name_order(self, tmp_path):
+        cells = {(m, t): cell_stub(0.5, 0.1) for m in ("noda", "pada") for t in ("b", "a")}
+        assert write_run_report(tmp_path, cells) == (["pada", "noda"], ["a", "b"])
+        lines = (tmp_path / "aggregate.csv").read_text().splitlines()
+        assert lines[0].startswith("model,a_f1,a_shift,b_f1,b_shift,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["pada", "noda"]
+
+    def test_missing_cell_named(self, tmp_path):
+        cells = {(m, t): cell_stub(0.5, 0.1) for m in ("noda", "pada") for t in ("a", "b")}
+        del cells[("noda", "b")]
+        with pytest.raises(ValueError, match=r"'noda'.*'b'"):
+            write_run_report(tmp_path / "out", cells)
+        assert not (tmp_path / "out").exists()
 
 
 class TestAggregateCsv:
