@@ -3,13 +3,15 @@
 
 Synthesizes the default four-domain corpus (or ingests a JSONL one),
 runs the leave-one-out grid with the standard model lineup, and prints
-the aggregate table. Per-cell JSON, aggregate.csv, and the shift
-heatmap land under --out.
+the aggregate table, the grid's wall time and the process's peak
+resident memory. Per-cell JSON, aggregate.csv, and the shift heatmap
+land under --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 from dataclasses import replace
 
@@ -51,9 +53,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     cells = run_loo(dataset, models, cfg, args.out, seeds=seeds)
     wall = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
     print(summary_table(cells))
-    print(f"\n{wall:.1f}s wall; reports in {args.out}")
+    print(f"\n{wall:.1f}s wall, {peak_mb:.1f} MB peak RSS; reports in {args.out}")
     return 0
 
 

@@ -54,8 +54,9 @@ def classify_many(
         inputs.append(build_disc_input(prompt, text_ids, model_cfg.max_input_len))
     if not inputs:
         return np.zeros((0, model_cfg.n_classes))
-    # upcast once here, so encode and classify convert nothing per batch
-    P = _f64(params)
+    # upcast what encode and classify read once here, so they convert
+    # nothing per batch
+    P = _f64(params, "embed", "enc", "cls")
     out = []
     for start in range(0, len(inputs), batch_size):
         ids, mask = pad_batch(inputs[start : start + batch_size])

@@ -139,6 +139,8 @@ class MultiDomainDataset:
     positive_class: str | None = None
 
     def __post_init__(self):
+        for d in self.domains:
+            check_domain_name(d, "dataset")
         if len(set(self.domains)) != len(self.domains):
             raise ValueError("duplicate domain names")
         if len(set(self.label_set)) != len(self.label_set):
@@ -229,6 +231,14 @@ def json_entry(where, obj: dict, key: str, ok, what: str):
     return obj[key]
 
 
+def check_domain_name(domain: str, where: str) -> None:
+    """Domain names name files inside an output directory (DRF profiles,
+    cell reports, experts), so a ValueError naming `where` rejects one
+    that is empty, "." or "..", or contains "/", "\\" or NUL."""
+    if domain in ("", ".", "..") or any(c in domain for c in "/\\\0"):
+        raise ValueError(f"{where}: domain {domain!r} cannot name a file")
+
+
 # (check, description) pairs for json_entry; a bool is not an integer here
 _STRING = (lambda v: isinstance(v, str), "a string")
 _STRING_OR_INT = (
@@ -245,8 +255,8 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
     and "label", "domain", "id" and "split" when the record has them,
     all as strings. Every field must be a JSON string, except that a
     label or an id may also be an integer. A line that is not a JSON
-    object, or has no text, or a field of another type, raises a
-    ValueError naming the line and the field.
+    object, or has no text, or a field of another type, or a domain
+    `check_domain_name` rejects, raises a ValueError naming the line.
     """
     optional = {"label": _STRING_OR_INT, "domain": _STRING, "id": _STRING_OR_INT,
                 "split": _STRING}
@@ -275,6 +285,8 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
                 name = getattr(schema, key)
                 if name in rec:
                     fields[key] = str(json_entry(where, rec, name, *kind))
+            if "domain" in fields:
+                check_domain_name(fields["domain"], where)
             records.append((n, fields))
     if not records:
         raise ValueError(f"empty input: {path}")

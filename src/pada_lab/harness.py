@@ -211,7 +211,9 @@ def pada_candidates_many(
     classification over best prompt + SEP + text. Returns the class
     probabilities and each example's `beam_cfg.num_candidates`
     candidates, best first."""
-    params = _f64(params)  # once per request, not once per model call
+    # once per request, not once per model call; generation and
+    # classification together read every tensor
+    params = _f64(params)
     candidates = generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[c[0].prompt_ids for c in candidates]

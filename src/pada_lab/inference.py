@@ -158,7 +158,7 @@ def diverse_beam_search_many(
     then select in order, each across all inputs. An input whose
     candidates are settled stops (see the module docstring).
     """
-    P = _f64(params)
+    P = _f64(params, "embed", "dec")
     n_in = enc_states.shape[0]
     n_groups = cfg.num_groups
     max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
@@ -330,7 +330,7 @@ def generate_candidates_many(
     unpadded call and decoded as one search, so every example gets the
     bits of its own search."""
     beam_cfg = beam_cfg if beam_cfg is not None else BeamConfig()
-    P = _f64(params)
+    P = _f64(params, "embed", "enc", "dec")
     buckets: dict[int, list[int]] = {}
     inputs = []
     for i, ex in enumerate(examples):

@@ -59,11 +59,14 @@ class ModelConfig:
 
 
 class ForwardTrace(NamedTuple):
-    """Loss plus every cached activation the backward pass needs."""
+    """Loss plus the tape: every cache the backward pass needs, in the
+    order the forward pass computed them. `_backward` pops each one as
+    it consumes it, so an activation is freed once nothing will read it
+    again."""
 
     task: str
     loss: float
-    caches: tuple
+    tape: list
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -114,8 +117,16 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     return p
 
 
-def _f64(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.astype(np.float64, copy=False) for k, v in params.items()}
+def _f64(params: dict[str, np.ndarray], *reads: str) -> dict[str, np.ndarray]:
+    """float64 views or copies of the tensors whose names start with one
+    of `reads` ("enc" and "dec" cover each stack's layers and final
+    norm), or of every tensor when none is given."""
+    return {k: v.astype(np.float64, copy=False) for k, v in params.items()
+            if not reads or k.startswith(reads)}
+
+
+# the tensors one training batch reads, by task
+_TASK_READS = {"disc": ("embed", "enc", "cls"), "gen": ("embed", "enc", "dec")}
 
 
 @lru_cache(maxsize=32)
@@ -247,30 +258,44 @@ def _attn_fwd(q_in, kv_in, wq, wk, wv, wo, n_heads, key_mask, causal):
 
 
 def _attn_bwd(dout, cache):
+    # Each name is dropped once read for the last time: when the caller
+    # hands over its only reference to the cache (`_backward` pops it
+    # off the tape), the cached attention weights, heads and context
+    # are freed as the gradients that read them are done.
     q_in, kv_in, q, k, v, attn, merged, wq, wk, wv, wo, n_heads = cache
+    del cache
     d = q_in.shape[-1]
     dh = d // n_heads
     dwo = merged.reshape(-1, d).T @ dout.reshape(-1, d)
-    dmerged = dout @ wo.T
-    dctx = _split_heads(dmerged, n_heads)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    del merged
+    dctx = _split_heads(dout @ wo.T, n_heads)
     # dscores = attn * (dattn - sum(dattn * attn)) / sqrt(dh), in dattn's
     # buffer; the product's operands swap, which is exact
-    row = np.multiply(dattn, attn).sum(axis=-1, keepdims=True)
-    dscores = dattn
+    dscores = dctx @ v.transpose(0, 1, 3, 2)  # dattn until the next step
+    del v
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    del dctx
+    row = np.multiply(dscores, attn).sum(axis=-1, keepdims=True)
     dscores -= row
     dscores *= attn
+    del attn
     dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
-    dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    dwq = q_in.reshape(-1, d).T @ dq_m.reshape(-1, d)
-    dwk = kv_in.reshape(-1, d).T @ dk_m.reshape(-1, d)
-    dwv = kv_in.reshape(-1, d).T @ dv_m.reshape(-1, d)
-    dq_in = dq_m @ wq.T
-    dkv_in = dk_m @ wk.T
-    dkv_in += dv_m @ wv.T
+    del dscores, q, k
+    # one head split at a time back to [B,T,D]
+    dq = _merge_heads(dq)
+    dk = _merge_heads(dk)
+    dv = _merge_heads(dv)
+    dwq = q_in.reshape(-1, d).T @ dq.reshape(-1, d)
+    dwk = kv_in.reshape(-1, d).T @ dk.reshape(-1, d)
+    dwv = kv_in.reshape(-1, d).T @ dv.reshape(-1, d)
+    del q_in, kv_in
+    dq_in = dq @ wq.T
+    del dq
+    dkv_in = dk @ wk.T
+    del dk
+    dkv_in += dv @ wv.T
     return dq_in, dkv_in, dwq, dwk, dwv, dwo
 
 
@@ -287,23 +312,54 @@ def _ffn_fwd(x, w1, b1, w2, b2):
 
 def _ffn_bwd(dout, cache):
     x, r, w1, w2 = cache
+    del cache  # as in _attn_bwd
     din, dff = x.shape[-1], r.shape[-1]
     lead = tuple(range(dout.ndim - 1))
     db2 = dout.sum(axis=lead)
     dw2 = r.reshape(-1, dff).T @ dout.reshape(-1, din)
     dh = dout @ w2.T
     dh *= r > 0
+    del r
     db1 = dh.sum(axis=lead)
     dw1 = x.reshape(-1, din).T @ dh.reshape(-1, dff)
     dx = dh @ w1.T
     return dx, dw1, db1, dw2, db2
 
 
-def _acc(grads: dict, name: str, val: np.ndarray) -> None:
-    if name in grads:
-        grads[name] = grads[name] + val
-    else:
-        grads[name] = val
+def _ln_back(grads, name, dout, tape):
+    """`_ln_bwd` on the cache on top of the tape; files the gain and
+    bias gradients under `name` and returns the input gradient."""
+    dx, grads[name + ".g"], grads[name + ".b"] = _ln_bwd(dout, tape.pop())
+    return dx
+
+
+def _ffn_back(grads, name, dout, tape):
+    """`_ffn_bwd` likewise."""
+    dx, *dw = _ffn_bwd(dout, tape.pop())
+    grads.update(zip((name + ".w1", name + ".b1", name + ".w2", name + ".b2"), dw))
+    return dx
+
+
+def _attn_back(grads, name, dout, tape):
+    """`_attn_bwd` likewise; returns the query-side and key/value-side
+    input gradients."""
+    dq_in, dkv_in, *dw = _attn_bwd(dout, tape.pop())
+    grads.update(zip((name + ".wq", name + ".wk", name + ".wv", name + ".wo"), dw))
+    return dq_in, dkv_in
+
+
+def _self_attn_back(grads, name, dout, tape):
+    """`_attn_back` where queries, keys and values read one input."""
+    dq_in, dkv_in = _attn_back(grads, name, dout, tape)
+    dq_in += dkv_in
+    return dq_in
+
+
+def _embed_back(cfg, grads, dx, ids):
+    if "embed" not in grads:
+        grads["embed"] = np.zeros((cfg.vocab_size, cfg.d_model))
+    dx *= math.sqrt(cfg.d_model)
+    np.add.at(grads["embed"], ids, dx)
 
 
 # --- encoder / decoder ------------------------------------------------------
@@ -328,126 +384,95 @@ def _embed_fwd(cfg, P, ids):
     return x
 
 
-def _encoder_fwd(cfg, P, ids, mask):
+def _encoder_fwd(cfg, P, ids, mask, tape=None):
+    """Encoder states [B,T,D]. Given a tape, pushes ids and then each
+    kernel's cache onto it for `_encoder_bwd`; without one, each cache
+    is dropped as soon as the next kernel has run."""
+    push = tape.append if tape is not None else lambda cache: None
+    push(ids)
     x = _embed_fwd(cfg, P, ids)
-    layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
-        h, c1 = _ln_fwd(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
-        a, ca = _attn_fwd(
+        h, c = _ln_fwd(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
+        push(c)
+        a, c = _attn_fwd(
             h, h, P[pre + "attn.wq"], P[pre + "attn.wk"], P[pre + "attn.wv"],
             P[pre + "attn.wo"], cfg.n_heads, mask, causal=False,
         )
+        push(c)
         x += a  # no cache holds the residual stream
-        h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
-        f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        h, c = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
+        push(c)
+        f, c = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        push(c)
         x += f
-        layer_caches.append((c1, ca, c2, cf))
-    out, clf = _ln_fwd(x, P["enc.lnf.g"], P["enc.lnf.b"])
-    return out, (ids, layer_caches, clf)
+    out, c = _ln_fwd(x, P["enc.lnf.g"], P["enc.lnf.b"])
+    push(c)
+    return out
 
 
-def _encoder_bwd(cfg, dout, cache, grads):
-    ids, layer_caches, clf = cache
-    dx, dg, db = _ln_bwd(dout, clf)
-    _acc(grads, "enc.lnf.g", dg)
-    _acc(grads, "enc.lnf.b", db)
+def _encoder_bwd(cfg, dout, tape, grads):
+    """Pops what `_encoder_fwd` pushed, last first. Each residual
+    branch's input gradient is added to the stream's as it returns."""
+    dx = _ln_back(grads, "enc.lnf", dout, tape)
     for i in reversed(range(cfg.n_layers)):
         pre = f"enc{i}."
-        c1, ca, c2, cf = layer_caches[i]
-        dh, dw1, db1, dw2, db2 = _ffn_bwd(dx, cf)
-        _acc(grads, pre + "ffn.w1", dw1)
-        _acc(grads, pre + "ffn.b1", db1)
-        _acc(grads, pre + "ffn.w2", dw2)
-        _acc(grads, pre + "ffn.b2", db2)
-        dxm, dg2, db2n = _ln_bwd(dh, c2)
-        _acc(grads, pre + "ln2.g", dg2)
-        _acc(grads, pre + "ln2.b", db2n)
-        dx += dxm
-        dq_in, dkv_in, dwq, dwk, dwv, dwo = _attn_bwd(dx, ca)
-        _acc(grads, pre + "attn.wq", dwq)
-        _acc(grads, pre + "attn.wk", dwk)
-        _acc(grads, pre + "attn.wv", dwv)
-        _acc(grads, pre + "attn.wo", dwo)
-        dq_in += dkv_in
-        dh1, dg1, db1n = _ln_bwd(dq_in, c1)
-        _acc(grads, pre + "ln1.g", dg1)
-        _acc(grads, pre + "ln1.b", db1n)
-        dx += dh1
-    if "embed" not in grads:
-        grads["embed"] = np.zeros((cfg.vocab_size, cfg.d_model))
-    dx *= math.sqrt(cfg.d_model)
-    np.add.at(grads["embed"], ids, dx)
+        dx += _ln_back(grads, pre + "ln2", _ffn_back(grads, pre + "ffn", dx, tape), tape)
+        dx += _ln_back(grads, pre + "ln1", _self_attn_back(grads, pre + "attn", dx, tape), tape)
+    _embed_back(cfg, grads, dx, tape.pop())
 
 
-def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask):
+def _decoder_fwd(cfg, P, ids, mask, enc_states, enc_mask, tape=None):
+    """Decoder states [B,T,D]; a tape is filled as in `_encoder_fwd`."""
+    push = tape.append if tape is not None else lambda cache: None
+    push(ids)
     x = _embed_fwd(cfg, P, ids)
-    layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"dec{i}."
-        h, c1 = _ln_fwd(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
-        a, cs = _attn_fwd(
+        h, c = _ln_fwd(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
+        push(c)
+        a, c = _attn_fwd(
             h, h, P[pre + "self.wq"], P[pre + "self.wk"], P[pre + "self.wv"],
             P[pre + "self.wo"], cfg.n_heads, mask, causal=True,
         )
+        push(c)
         x += a  # no cache holds the residual stream
-        h, c2 = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
-        a2, cc = _attn_fwd(
+        h, c = _ln_fwd(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
+        push(c)
+        a, c = _attn_fwd(
             h, enc_states, P[pre + "cross.wq"], P[pre + "cross.wk"], P[pre + "cross.wv"],
             P[pre + "cross.wo"], cfg.n_heads, enc_mask, causal=False,
         )
-        x += a2
-        h, c3 = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
-        f, cf = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        push(c)
+        x += a
+        h, c = _ln_fwd(x, P[pre + "ln3.g"], P[pre + "ln3.b"])
+        push(c)
+        f, c = _ffn_fwd(h, P[pre + "ffn.w1"], P[pre + "ffn.b1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        push(c)
         x += f
-        layer_caches.append((c1, cs, c2, cc, c3, cf))
-    out, clf = _ln_fwd(x, P["dec.lnf.g"], P["dec.lnf.b"])
-    return out, (ids, layer_caches, clf)
+    out, c = _ln_fwd(x, P["dec.lnf.g"], P["dec.lnf.b"])
+    push(c)
+    return out
 
 
-def _decoder_bwd(cfg, dout, cache, grads):
-    """Returns the gradient wrt the encoder states (from cross-attention)."""
-    ids, layer_caches, clf = cache
-    dx, dg, db = _ln_bwd(dout, clf)
-    _acc(grads, "dec.lnf.g", dg)
-    _acc(grads, "dec.lnf.b", db)
+def _decoder_bwd(cfg, dout, tape, grads):
+    """Pops what `_decoder_fwd` pushed, as `_encoder_bwd` does; returns
+    the gradient wrt the encoder states (from cross-attention)."""
+    dx = _ln_back(grads, "dec.lnf", dout, tape)
+    del dout
     denc = None
     for i in reversed(range(cfg.n_layers)):
         pre = f"dec{i}."
-        c1, cs, c2, cc, c3, cf = layer_caches[i]
-        dh, dw1, db1, dw2, db2 = _ffn_bwd(dx, cf)
-        _acc(grads, pre + "ffn.w1", dw1)
-        _acc(grads, pre + "ffn.b1", db1)
-        _acc(grads, pre + "ffn.w2", dw2)
-        _acc(grads, pre + "ffn.b2", db2)
-        dxm, dg3, db3 = _ln_bwd(dh, c3)
-        _acc(grads, pre + "ln3.g", dg3)
-        _acc(grads, pre + "ln3.b", db3)
-        dx += dxm
-        dq_in, dkv_enc, dwq, dwk, dwv, dwo = _attn_bwd(dx, cc)
-        for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
-            _acc(grads, pre + "cross." + nm, g)
+        dx += _ln_back(grads, pre + "ln3", _ffn_back(grads, pre + "ffn", dx, tape), tape)
+        dq_in, dkv_enc = _attn_back(grads, pre + "cross", dx, tape)
         if denc is None:
             denc = dkv_enc
         else:
             denc += dkv_enc
-        dh2, dg2, db2n = _ln_bwd(dq_in, c2)
-        _acc(grads, pre + "ln2.g", dg2)
-        _acc(grads, pre + "ln2.b", db2n)
-        dx += dh2
-        dq_s, dkv_s, dwq, dwk, dwv, dwo = _attn_bwd(dx, cs)
-        for nm, g in (("wq", dwq), ("wk", dwk), ("wv", dwv), ("wo", dwo)):
-            _acc(grads, pre + "self." + nm, g)
-        dq_s += dkv_s
-        dh1, dg1, db1n = _ln_bwd(dq_s, c1)
-        _acc(grads, pre + "ln1.g", dg1)
-        _acc(grads, pre + "ln1.b", db1n)
-        dx += dh1
-    if "embed" not in grads:
-        grads["embed"] = np.zeros((cfg.vocab_size, cfg.d_model))
-    dx *= math.sqrt(cfg.d_model)
-    np.add.at(grads["embed"], ids, dx)
-    return denc if denc is not None else np.zeros(1)
+        dx += _ln_back(grads, pre + "ln2", dq_in, tape)
+        dx += _ln_back(grads, pre + "ln1", _self_attn_back(grads, pre + "self", dx, tape), tape)
+    _embed_back(cfg, grads, dx, tape.pop())
+    return denc
 
 
 # --- classification head ----------------------------------------------------
@@ -477,14 +502,14 @@ def _classify_bwd(dlogits, cache, grads):
     x, xp, conv, mask, idx, pooled, w, pw = cache
     n_b, n_t, _ = x.shape
     n_f, width, _ = w.shape
-    _acc(grads, "cls.proj.w", dlogits.T @ pooled)
-    _acc(grads, "cls.proj.b", dlogits.sum(axis=0))
+    grads["cls.proj.w"] = dlogits.T @ pooled
+    grads["cls.proj.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ pw
     dconv = np.zeros_like(conv)
     b_idx = np.arange(n_b)[:, None]
     f_idx = np.arange(n_f)[None, :]
     dconv[b_idx, idx, f_idx] = dpooled
-    _acc(grads, "cls.conv.b", dconv.sum(axis=(0, 1)))
+    grads["cls.conv.b"] = dconv.sum(axis=(0, 1))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     # as [F, B*T] @ [B*T, D] the product runs on BLAS; einsum does not
@@ -492,7 +517,7 @@ def _classify_bwd(dlogits, cache, grads):
     for k in range(width):
         dw[:, k, :] = dconv_t @ xp[:, k : k + n_t, :].reshape(n_b * n_t, -1)
         dxp[:, k : k + n_t, :] += dconv @ w[:, k, :]
-    _acc(grads, "cls.conv.w", dw)
+    grads["cls.conv.w"] = dw
     pad = (width - 1) // 2
     return dxp[:, pad : pad + n_t, :] * mask[..., None]
 
@@ -508,8 +533,7 @@ def encode(cfg: ModelConfig, params: dict, ids, mask=None) -> np.ndarray:
     else:
         mask = np.asarray(mask, dtype=np.float64)
     _check_ids(cfg, ids, mask, cfg.max_input_len, "input")
-    states, _ = _encoder_fwd(cfg, _f64(params), ids, mask)
-    return states
+    return _encoder_fwd(cfg, _f64(params, "embed", "enc"), ids, mask)
 
 
 def classify(cfg: ModelConfig, params: dict, states, mask) -> np.ndarray:
@@ -521,7 +545,7 @@ def classify(cfg: ModelConfig, params: dict, states, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if (mask.sum(axis=1) == 0).any():
         raise ValueError("classification needs at least one unpadded position")
-    logp, _ = _classify_fwd(cfg, _f64(params), np.asarray(states, dtype=np.float64), mask)
+    logp, _ = _classify_fwd(cfg, _f64(params, "cls"), np.asarray(states, dtype=np.float64), mask)
     return logp
 
 
@@ -702,7 +726,7 @@ def decode_step(cfg: ModelConfig, params: dict, enc_states, enc_mask, prefixes) 
         raise ValueError(f"prefix exceeds max_output_len={cfg.max_output_len}")
     if prefix.min() < 0 or prefix.max() >= cfg.vocab_size:
         raise ValueError("prefix token id outside vocabulary")
-    P = _f64(params)
+    P = _f64(params, "embed", "dec")
     state = start_decoder(cfg, P, enc_states, enc_mask)
     parents = np.zeros(prefix.shape[0], dtype=np.int64)  # all start empty
     for t in range(prefix.shape[1]):
@@ -717,7 +741,8 @@ def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
         raise ValueError("batch mixes generative and discriminative instances")
     ids, mask = pad_batch([inst.input_ids for inst in batch])
     _check_ids(cfg, ids, mask, cfg.max_input_len, "input")
-    enc_states, enc_cache = _encoder_fwd(cfg, P, ids, mask)
+    tape: list = []
+    enc_states = _encoder_fwd(cfg, P, ids, mask, tape)
 
     if task == "disc":
         targets = np.asarray([inst.target_class for inst in batch], dtype=np.int64)
@@ -725,7 +750,8 @@ def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
             raise ValueError("class target outside declared range")
         logp, cls_cache = _classify_fwd(cfg, P, enc_states, mask)
         loss = -float(logp[np.arange(len(batch)), targets].mean())
-        return ForwardTrace(task, loss, (ids, mask, enc_cache, cls_cache, logp, targets))
+        tape += [cls_cache, (logp, targets)]
+        return ForwardTrace(task, loss, tape)
 
     if task != "gen":
         raise ValueError(f"unknown task {task!r}")
@@ -736,59 +762,66 @@ def _forward(cfg: ModelConfig, P: dict, batch) -> ForwardTrace:
         [np.full((target.shape[0], 1), BOS, dtype=np.int64), target[:, :-1]], axis=1
     )
     dec_mask = (dec_in != PAD).astype(np.float64)
-    dec_states, dec_cache = _decoder_fwd(cfg, P, dec_in, dec_mask, enc_states, mask)
+    dec_states = _decoder_fwd(cfg, P, dec_in, dec_mask, enc_states, mask, tape)
     logp = dec_states @ P["embed"].T
     logp -= _logsumexp(logp)
     n_tok = tmask.sum()
     b_idx = np.arange(target.shape[0])[:, None]
     t_idx = np.arange(target.shape[1])[None, :]
     nll = -(logp[b_idx, t_idx, target] * tmask).sum() / n_tok
-    return ForwardTrace(
-        task, float(nll),
-        (ids, mask, enc_cache, dec_cache, dec_states, logp, target, tmask, n_tok),
-    )
+    tape.append((dec_states, logp, target, tmask, n_tok))
+    return ForwardTrace(task, float(nll), tape)
 
 
-def _backward(cfg: ModelConfig, P: dict, trace: ForwardTrace) -> dict[str, np.ndarray]:
+def _backward(cfg: ModelConfig, P: dict, task: str, tape: list) -> dict[str, np.ndarray]:
+    """Gradients of the tensors the task reaches, emptying the tape."""
     grads: dict[str, np.ndarray] = {}
-    if trace.task == "disc":
-        ids, mask, enc_cache, cls_cache, logp, targets = trace.caches
+    if task == "disc":
+        logp, targets = tape.pop()
         n = len(targets)
-        dlogits = np.exp(logp)
+        dlogits = np.exp(logp, out=logp)
         dlogits[np.arange(n), targets] -= 1.0
         dlogits /= n
-        dstates = _classify_bwd(dlogits, cls_cache, grads)
-        _encoder_bwd(cfg, dstates, enc_cache, grads)
+        dstates = _classify_bwd(dlogits, tape.pop(), grads)
     else:
-        ids, mask, enc_cache, dec_cache, dec_states, logp, target, tmask, n_tok = trace.caches
-        b_idx = np.arange(target.shape[0])[:, None]
-        t_idx = np.arange(target.shape[1])[None, :]
-        dlogits = np.exp(logp)
-        dlogits[b_idx, t_idx, target] -= 1.0
-        dlogits *= tmask[..., None] / n_tok
-        grads["embed"] = np.einsum("btv,btd->vd", dlogits, dec_states)
-        ddec = dlogits @ P["embed"]
-        denc = _decoder_bwd(cfg, ddec, dec_cache, grads)
-        _encoder_bwd(cfg, denc, enc_cache, grads)
-    for k, v in P.items():
-        if k not in grads:
-            grads[k] = np.zeros_like(v)
+        # passed as a temporary, so the decoder frees it once read
+        dstates = _decoder_bwd(cfg, _gen_loss_bwd(P, tape.pop(), grads), tape, grads)
+    _encoder_bwd(cfg, dstates, tape, grads)
     return grads
+
+
+def _gen_loss_bwd(P, cache, grads):
+    """The token NLL's gradient wrt the decoder states; files the output
+    projection's share of the embedding gradient."""
+    dec_states, logp, target, tmask, n_tok = cache
+    del cache  # as in _attn_bwd
+    b_idx = np.arange(target.shape[0])[:, None]
+    t_idx = np.arange(target.shape[1])[None, :]
+    dlogits = np.exp(logp, out=logp)
+    del logp
+    dlogits[b_idx, t_idx, target] -= 1.0
+    dlogits *= tmask[..., None] / n_tok
+    grads["embed"] = np.einsum("btv,btd->vd", dlogits, dec_states)
+    del dec_states
+    return dlogits @ P["embed"]
 
 
 def loss_and_grads(cfg: ModelConfig, params: dict, batch):
     """Mean loss over one task-homogeneous batch plus exact gradients
-    for every parameter tensor (zeros for tensors the task never touches).
+    for the tensors the task reaches: a disc batch reaches `embed`, the
+    encoder and the classifier, a gen batch `embed`, the encoder and the
+    decoder. No other tensor gets a key (`adam_step` reads a missing
+    gradient as zero), and only the tensors the task reaches are
+    upcast to float64.
 
     Generative batches use teacher forcing with PAD positions excluded
     from the token-level mean; discriminative batches use mean class NLL.
     """
     if not batch:
         raise ValueError("empty batch")
-    P = _f64(params)
-    trace = _forward(cfg, P, batch)
-    grads = _backward(cfg, P, trace)
-    return trace.loss, grads
+    P = _f64(params, *_TASK_READS.get(batch[0].task, ()))
+    task, loss, tape = _forward(cfg, P, batch)
+    return loss, _backward(cfg, P, task, tape)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -231,23 +231,35 @@ def adam_step(
     dtype. Every updated tensor is a new array: no parameter array is
     ever written. Raises on non-finite gradients, naming the tensor.
 
-    A tensor with no state yet and an all-zero gradient is returned as
-    it is and gets no state: with both moments at zero its update is
-    exactly 0.0, and p - 0.0 == p. Once a gradient reaches it, its state
-    starts at zero, as it would have stayed under zero gradients, and
-    the bias correction uses the global step either way.
+    A tensor missing from `grads` has a zero gradient (`loss_and_grads`
+    gives keys only to the tensors a batch reaches). Without state it
+    is returned as it is, unscanned, and gets no state; so is a tensor
+    without state whose gradient is all zero: with both moments at zero
+    its update is exactly 0.0, and p - 0.0 == p. Once a gradient reaches
+    it, its state starts at zero, as it would have stayed under zero
+    gradients, and the bias correction uses the global step either way.
+    A tensor with state and no gradient takes the zero-gradient update,
+    bit for bit what an explicit zero array gives.
     """
     lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
     new_params: dict[str, np.ndarray] = {}
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if name not in state.m and not g.any():  # any() is True on NaN
-            new_params[name] = p
-            continue
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in tensor {name!r}")
+        g = grads.get(name)
+        if g is None:
+            if name not in state.m:
+                new_params[name] = p
+                continue
+            # the scalar adds the +0.0 a zero array would, element by element
+            g = 0.0
+        else:
+            g = np.asarray(g, dtype=np.float64)
+            if name not in state.m and not g.any():  # any() is True on NaN
+                new_params[name] = p
+                continue
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient in tensor {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)

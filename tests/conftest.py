@@ -54,10 +54,14 @@ def edit_checkpoint_header(path, edit) -> None:
 
 # One bad record per case: the edit of a valid record, and what the
 # ValueError names after "line <n>: " (the field, or the record's type).
+# domain names that cannot name a file inside an output directory
+UNSAFE_DOMAINS = ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+
 BAD_RECORDS = [
     pytest.param(lambda r: 5, "expected a JSON object", id="bare number"),
     pytest.param(lambda r: {**r, "label": ["pos"]}, "label", id="list label"),
     pytest.param(lambda r: {**r, "domain": None}, "domain", id="null domain"),
+    pytest.param(lambda r: {**r, "domain": "../escaped"}, "domain", id="escaping domain"),
     pytest.param(lambda r: {**r, "text": 5}, "text", id="number text"),
     pytest.param(lambda r: {**r, "text": {"a": "b"}}, "text", id="dict text"),
     pytest.param(lambda r: {**r, "label": True}, "label", id="bool label"),

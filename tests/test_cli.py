@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -254,6 +255,31 @@ def pada_noda_loo_dir(data_path, tmp_path_factory):
                "--models", "pada,noda", *TINY_MODEL_FLAGS])
     assert rc == 0
     return out
+
+
+class TestDomainNames:
+    @pytest.mark.parametrize("name", ["../escaped", "..", "a\\b"])
+    def test_commands_exit_1_and_write_nothing(self, data_path, tmp_path, capsys, name):
+        """A domain name that cannot name a file fails `drf extract`,
+        `run-loo` and `train` before they write anything."""
+        lines = data_path.read_text().splitlines()
+        first = json.loads(lines[0])["domain"]
+        renamed = [json.dumps({**r, "domain": name}) if r["domain"] == first else json.dumps(r)
+                   for r in map(json.loads, lines)]
+        bad_line = 1 + next(i for i, r in enumerate(renamed) if json.loads(r)["domain"] == name)
+        data = tmp_path / "data.jsonl"
+        data.write_text("\n".join(renamed) + "\n")
+        out = tmp_path / "esc" / "out"
+        other = next(json.loads(r)["domain"] for r in renamed if json.loads(r)["domain"] != name)
+        for argv in (["drf", "extract", "--data", str(data), "--out", str(out / "profiles")],
+                     ["run-loo", "--data", str(data), "--out", str(out / "loo"),
+                      "--models", "noda", *TINY_MODEL_FLAGS],
+                     ["train", "--data", str(data), "--out", str(out / "model"),
+                      "--target", other, "--model", "noda", *TINY_MODEL_FLAGS]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {bad_line}: domain {name!r}"), err
+        assert [p.name for p in tmp_path.rglob("*")] == ["data.jsonl"]
 
 
 class TestTrainPredictRoundTrip:
@@ -550,11 +576,14 @@ class TestRunLooAndReport:
         out = tmp_path / "desk"
         assert script.main(["--data", str(data_path), "--out", str(out),
                             "--models", "noda", "--epochs", "1"]) == 0
-        assert summary_table(read_run_cells(out)) in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert summary_table(read_run_cells(out)) in printed
+        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports in ", printed)
 
 
-# Strings keep to a small alphabet: a drawn domain name becomes a file name.
-_TEXTS = st.text(alphabet="ab XY09", max_size=6)
+# Strings keep to a small alphabet, with "." and "/" so that a drawn
+# domain name can reach the check on names that cannot name a file.
+_TEXTS = st.text(alphabet="ab XY09./", max_size=6)
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pada_lab.corpus import (
     tokenize,
     write_jsonl,
 )
-from tests.conftest import BAD_RECORDS, make_dataset
+from tests.conftest import BAD_RECORDS, UNSAFE_DOMAINS, make_dataset
 
 
 class TestTokenize:
@@ -128,6 +129,15 @@ class TestDatasetValidation:
                 label_set=["neg", "pos"], positive_class="pos",
             )
 
+    @pytest.mark.parametrize("name", UNSAFE_DOMAINS)
+    def test_domain_that_cannot_name_a_file_rejected(self, name):
+        with pytest.raises(ValueError, match=f"dataset: domain {re.escape(repr(name))}"):
+            make_dataset({"d": [("tok", "pos")], name: [("kot", "neg")]})
+
+    @pytest.mark.parametrize("name", ["a.b", "...", ".hidden", "two words", "d-2_x"])
+    def test_other_domain_names_accepted(self, name):
+        assert make_dataset({name: [("tok", "pos")]}).domains == [name]
+
     def test_target_test_examples_falls_back_to_all_splits(self, two_domain_dataset):
         got = two_domain_dataset.target_test_examples("forests")
         assert len(got) == 3  # 2 train + 1 dev, no test split
@@ -168,6 +178,15 @@ class TestIngest:
         ds = ingest_jsonl(p)
         ex = (ds.train["d"] + ds.dev["d"])[0]
         assert tokenize(ex.text).count(SEP_TOKEN) == 1
+
+    @pytest.mark.parametrize("name", UNSAFE_DOMAINS)
+    def test_domain_that_cannot_name_a_file_names_its_line(self, tmp_path, name):
+        p = self.write(tmp_path, [
+            {"text": "a b", "label": "x", "domain": "d1"},
+            {"text": "c d", "label": "y", "domain": name},
+        ])
+        with pytest.raises(ValueError, match=f"line 2: domain {re.escape(repr(name))}"):
+            ingest_jsonl(p)
 
     def test_malformed_line_error_names_line_number(self, tmp_path):
         p = tmp_path / "bad.jsonl"

@@ -293,7 +293,7 @@ def full_prefix_logp(cfg, params, enc, mask, prefixes):
     P = _f64(params)
     ids = np.array([(BOS,) + tuple(p) for p in prefixes], dtype=np.int64)
     n = len(prefixes)
-    states, _ = _decoder_fwd(
+    states = _decoder_fwd(
         cfg, P, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
     )
     logits = states[:, -1] @ P["embed"].T

@@ -16,6 +16,7 @@ from pada_lab.model import (
     _classify_fwd,
     _ffn_bwd,
     _ffn_fwd,
+    _forward,
     _ln_bwd,
     _ln_fwd,
     _logsumexp,
@@ -240,7 +241,7 @@ class TestDecodeStep:
         parents = np.zeros(n_rows, dtype=np.int64)
         for _ in range(cfg.max_output_len):
             state, logp = advance_decoder(cfg, P, state, parents, seqs[:, -1])
-            states, _ = _decoder_fwd(
+            states = _decoder_fwd(
                 cfg, P, seqs, np.ones(seqs.shape),
                 np.repeat(enc, n_rows, axis=0), np.repeat(mask, n_rows, axis=0),
             )
@@ -424,27 +425,31 @@ class TestLossAndGrads:
             prefix = prefix + [tok]
         assert loss == pytest.approx(total / len(target), abs=1e-10)
 
-    def test_every_tensor_gets_a_gradient(self):
-        cfg = tiny_cfg()
+    def test_every_reached_tensor_gets_a_gradient(self):
+        # a disc batch reaches all but the decoder, a gen batch all but
+        # the classifier; no other tensor gets a key
+        cfg = tiny_cfg(n_layers=2)
         p = init_params(cfg)
-        _, grads = loss_and_grads(cfg, p, disc_batch(cfg, [[6, 7]], [1]))
-        assert grads.keys() == p.keys()
-        for k, g in grads.items():
-            assert g.shape == p[k].shape, k
-            assert np.isfinite(g).all(), k
+        for batch, unreached in ((disc_batch(cfg, [[6, 7]], [1]), "dec"),
+                                 (gen_batch(cfg, [[6, 7]], [[8]]), "cls.")):
+            _, grads = loss_and_grads(cfg, p, batch)
+            assert grads.keys() == {k for k in p if not k.startswith(unreached)}
+            for k, g in grads.items():
+                assert g.shape == p[k].shape, k
+                assert np.isfinite(g).all(), k
 
     def test_disc_batch_never_touches_decoder(self):
         cfg = tiny_cfg()
         p = init_params(cfg)
         _, grads = loss_and_grads(cfg, p, disc_batch(cfg, [[6, 7]], [1]))
-        assert not grads["dec0.self.wq"].any()
+        assert "dec0.self.wq" not in grads
         assert grads["cls.conv.w"].any()
 
     def test_gen_batch_never_touches_classifier(self):
         cfg = tiny_cfg()
         p = init_params(cfg)
         _, grads = loss_and_grads(cfg, p, gen_batch(cfg, [[6, 7]], [[8]]))
-        assert not grads["cls.conv.w"].any()
+        assert "cls.conv.w" not in grads
         assert grads["dec0.self.wq"].any()
 
     def test_mixed_batch_rejected(self):
@@ -484,6 +489,60 @@ class TestLossAndGrads:
                 numeric = (up - down) / (2 * eps)
                 analytic = grads[name].reshape(-1)[idx]
                 assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-8), (name, idx)
+
+
+def traced_bytes(fn):
+    """(bytes held when fn returns, peak bytes while it ran), traced by
+    tracemalloc, which numpy reports its buffers to; fn's result is
+    held until both are read."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """One training step and one encode at the desk shape (B 16, input
+    T 41, D 64, F 128, 2 layers), against the bytes the forward pass
+    and the float64 upcast of the tensors the batch reaches leave
+    cached. The backward pass frees each cache once it has been read
+    and gives no gradient to a tensor the batch does not reach, and
+    encode keeps no backward cache, so neither peaks far above that."""
+
+    cfg = ModelConfig(vocab_size=68, n_classes=2, max_output_len=16)
+
+    def batch(self, task):
+        rng = np.random.default_rng(0)
+        if task == "disc":
+            return disc_batch(self.cfg, rng.integers(6, 68, (16, 41)).tolist(), [0, 1] * 8)
+        return gen_batch(self.cfg, rng.integers(6, 68, (16, 30)).tolist(),
+                         rng.integers(6, 68, (16, 11)).tolist())
+
+    def cached(self, params, batch, unreached):
+        def forward():
+            P = {k: v.astype(np.float64) for k, v in params.items() if not k.startswith(unreached)}
+            return P, _forward(self.cfg, P, batch)
+        return traced_bytes(forward)[0]
+
+    @pytest.mark.parametrize("task,unreached", [("disc", "dec"), ("gen", "cls.")])
+    def test_step_peaks_near_its_forward_caches(self, task, unreached):
+        params = init_params(self.cfg)
+        batch = self.batch(task)
+        loss_and_grads(self.cfg, params, batch)  # fill the position and mask tables
+        cached = self.cached(params, batch, unreached)
+        _, peak = traced_bytes(lambda: loss_and_grads(self.cfg, params, batch))
+        assert peak <= 1.3 * cached, (peak, cached)
+
+    def test_encode_peaks_below_the_step_caches(self):
+        params = init_params(self.cfg)
+        batch = self.batch("disc")
+        ids, mask = pad_batch([inst.input_ids for inst in batch])
+        encode(self.cfg, params, ids, mask)
+        cached = self.cached(params, batch, "dec")
+        _, peak = traced_bytes(lambda: encode(self.cfg, params, ids, mask))
+        assert peak < 0.8 * cached, (peak, cached)
 
 
 class TestCheckpoints:

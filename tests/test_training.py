@@ -325,6 +325,36 @@ class TestAdam:
             params = new
         assert set(state.m) == {"enc", "dec"}
 
+    def test_missing_gradient_is_a_zero_gradient(self):
+        # "dec" has no gradient for four steps without state, real ones
+        # for four, then none again for four with state; the oracle gets
+        # explicit zeros wherever "dec" has no gradient
+        rng = np.random.default_rng(2)
+        cfg = TrainConfig(lr=0.01)
+        params = {"enc": rng.normal(size=5).astype(np.float32),
+                  "dec": rng.normal(size=(3, 4)).astype(np.float32)}
+        want, ms, vs = dict(params), {}, {}
+        state = AdamState()
+        for step in range(1, 13):
+            grads = {"enc": rng.normal(size=5)}
+            if 5 <= step <= 8:
+                grads["dec"] = rng.normal(size=(3, 4))
+            new, state = adam_step(params, grads, state, step, cfg, 20, 2)
+            explicit = {"dec": np.zeros((3, 4)), **grads}
+            want = oracles.adam_out_of_place(want, explicit, ms, vs, step, lr_at(step, 20, 2, cfg.lr))
+            if step <= 4:
+                assert new["dec"] is params["dec"]
+                assert "dec" not in state.m and "dec" not in state.v
+            if step > 8:
+                assert "dec" not in grads
+                assert new["dec"].tobytes() != params["dec"].tobytes()  # momentum moves it
+            for k in params:
+                assert new[k].tobytes() == want[k].tobytes(), (step, k)
+            for k in state.m:
+                assert state.m[k].tobytes() == ms[k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == vs[k].tobytes(), (step, k)
+            params = new
+
     def test_non_finite_gradient_names_the_tensor(self):
         cfg = TrainConfig()
         params = {"bad.w": np.ones(2)}
