@@ -3,9 +3,9 @@
 
 Synthesizes the default four-domain corpus (or ingests a JSONL one),
 runs the leave-one-out grid with the standard model lineup, and prints
-the aggregate table, the grid's wall time and the process's peak
-resident memory. Per-cell JSON, aggregate.csv, and the shift heatmap
-land under --out.
+the aggregate table, the grid's wall time, the process's peak
+resident memory and the config hash every cell records. Per-cell
+JSON, aggregate.csv, and the shift heatmap land under --out.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def main(argv=None) -> int:
 
     print(summary_table(cells))
     print(f"\n{wall:.1f}s wall, {peak_mb:.1f} MB peak RSS; reports in {args.out}")
+    print(f"config hash: {cfg.config_hash(dataset.label_set, dataset.positive_class)}")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Every subcommand merges three layers of configuration, most specific
 winning: command-line flags, then a key=value config file, then
-built-in defaults. The merged mapping is hashed and the hash is
-embedded in every report a run emits, so outputs can be traced back to
-the exact configuration that produced them.
+built-in defaults. The settings a run computes with form one
+`ExperimentConfig`, and its `config_hash` is embedded in every report
+the run emits, so outputs can be traced back to those settings.
 
 Exit codes: 0 on success, 1 on a runtime error, 2 on a usage error.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 on success, 1 on a runtime error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -32,10 +31,8 @@ from .harness import (
     MODEL_NAMES,
     VARIANTS,
     ExperimentConfig,
-    MetricSpec,
     build_artifacts,
     load_model_dir,
-    metric_for_dataset,
     pada_candidates_many,
     read_run_cells,
     run_loo,
@@ -54,10 +51,6 @@ EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 SYNTH_KEYS = tuple(f.name for f in fields(SyntheticSpec))
 # The feature-extraction settings `drf extract` shares with the pipeline.
 DRF_KEYS = ("rho", "k_drf", "d_emb", "window")
-SCHEMA_KEYS = (
-    "text_field", "premise_field", "hypothesis_field", "label_field",
-    "domain_field", "id_field", "split_field", "labels", "positive_class",
-)
 
 _SCHEMA_DEFAULTS = {
     "text_field": "text",
@@ -124,18 +117,6 @@ def merge_config(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-# Where a command reads and writes, not what it computes.
-_PATH_KEYS = ("data", "out", "model_dir", "run_dir")
-
-
-def config_hash(command: str, merged: dict) -> str:
-    """Hash of the command and its settings; path-valued keys are left
-    out, so one run hashes the same whatever directories it uses."""
-    values = {k: v for k, v in merged.items() if k not in _PATH_KEYS}
-    payload = json.dumps({"command": command, "values": values}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _require(merged: dict, key: str):
     if merged.get(key) in (None, ""):
         raise UsageError(f"missing required value --{key.replace('_', '-')}")
@@ -159,43 +140,19 @@ def _schema_from(merged: dict) -> IngestSchema:
     )
 
 
-def _experiment_config(merged: dict) -> ExperimentConfig:
-    return ExperimentConfig(**{k: merged[k] for k in EXPERIMENT_KEYS})
+def _experiment_config(merged: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
+    """The run's settings: `keys` from `merged`, defaults for the rest."""
+    try:
+        return ExperimentConfig(**{k: merged[k] for k in keys})
+    except ValueError as e:  # a setting no run can take, such as an unknown task metric
+        raise UsageError(str(e)) from e
 
 
-def _metric_from(merged: dict, dataset) -> MetricSpec:
-    choice = merged.get("task_metric")
-    if choice in (None, "", "auto"):
-        return metric_for_dataset(dataset)
-    if choice == "binary":
-        positive = merged.get("positive_class") or dataset.positive_class
-        if positive is None:
-            raise UsageError("binary metric needs a positive class (--positive-class)")
-        return MetricSpec(kind="binary-F1", positive_class=positive)
-    if choice == "macro":
-        return MetricSpec(kind="macro-F1")
-    raise UsageError(f"unknown task metric {choice!r}; expected binary or macro")
+def _print_hash(cfg: ExperimentConfig, dataset) -> None:
+    print(f"config hash: {cfg.config_hash(dataset.label_set, dataset.positive_class)}")
 
 
 # --- flag registration ------------------------------------------------------
-
-
-def _add_keys(parser: argparse.ArgumentParser, defaults: dict, keys, types: dict):
-    for key in keys:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, type=types.get(key, str), default=None, dest=key)
-
-
-def _key_types(defaults: dict) -> dict:
-    types = {}
-    for key, value in defaults.items():
-        if isinstance(value, int):
-            types[key] = int
-        elif isinstance(value, float):
-            types[key] = float
-        else:
-            types[key] = str
-    return types
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,13 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     defaults: dict[str, dict] = {}
     experiment_defaults = asdict(ExperimentConfig())
 
-    def command(name, keys_with_defaults, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def command(name, keys_with_defaults, parent=sub, **kwargs):
+        """Subcommand `name` (its last word under `parent`) with one
+        flag per key, typed by its default."""
+        p = parent.add_parser(name.split()[-1], **kwargs)
         p.add_argument("--config", default=None, help="key = value config file")
         merged_defaults = {}
         for block in keys_with_defaults:
             merged_defaults.update(block)
-        _add_keys(p, merged_defaults, merged_defaults.keys(), _key_types(merged_defaults))
+        for key, value in merged_defaults.items():
+            kind = int if isinstance(value, int) else float if isinstance(value, float) else str
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, dest=key)
         defaults[name] = merged_defaults
         return p
 
@@ -226,23 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     drf = sub.add_parser("drf", help="domain-feature operations")
-    drf_sub = drf.add_subparsers(dest="drf_command", required=True)
-    extract = drf_sub.add_parser("extract", help="extract per-domain feature profiles")
-    extract.add_argument("--config", default=None)
-    extract_defaults = {
-        "data": None, "out": None, "domains": None,
-        **{k: experiment_defaults[k] for k in DRF_KEYS},
-        **_SCHEMA_DEFAULTS,
-    }
-    _add_keys(extract, extract_defaults, extract_defaults.keys(), _key_types(
-        {k: v for k, v in extract_defaults.items() if v is not None}
-    ))
-    defaults["drf extract"] = extract_defaults
+    command(
+        "drf extract",
+        [{"data": None, "out": None, "domains": None},
+         {k: experiment_defaults[k] for k in DRF_KEYS}, _SCHEMA_DEFAULTS],
+        parent=drf.add_subparsers(dest="drf_command", required=True),
+        help="extract per-domain feature profiles",
+    )
 
     command(
         "train",
         [experiment_defaults, _SCHEMA_DEFAULTS,
-         {"data": None, "out": None, "model": "pada", "target": None, "task_metric": None}],
+         {"data": None, "out": None, "model": "pada", "target": None}],
         help="train one model variant for one held-out target",
     )
     command(
@@ -253,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "run-loo",
         [experiment_defaults, _SCHEMA_DEFAULTS,
-         {"data": None, "out": None, "models": "pada,noda", "seeds": None,
-          "task_metric": None}],
+         {"data": None, "out": None, "models": "pada,noda", "seeds": None}],
         help="full leave-one-out grid with reports, CSV, and heatmap",
     )
     command(
@@ -270,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand bodies ------------------------------------------------------
 
 
-def _cmd_gen_data(merged: dict, rc_hash: str) -> int:
+def _cmd_gen_data(merged: dict) -> int:
     out = Path(_require(merged, "out"))
     spec = SyntheticSpec(**{k: merged[k] for k in SYNTH_KEYS})
     dataset = generate_synthetic(spec)
@@ -278,16 +233,16 @@ def _cmd_gen_data(merged: dict, rc_hash: str) -> int:
     write_jsonl(dataset, out)
     total = sum(len(dataset.train[d]) + len(dataset.dev[d]) for d in dataset.domains)
     print(f"wrote {total} examples across {len(dataset.domains)} domains to {out}")
-    print(f"config hash: {rc_hash}")
     return 0
 
 
-def _cmd_drf_extract(merged: dict, rc_hash: str) -> int:
+def _cmd_drf_extract(merged: dict) -> int:
     from .drf import build_embeddings, extract_drf_set, save_profile
     from .corpus import build_vocabulary
 
     data = _require(merged, "data")
     out = Path(_require(merged, "out"))
+    cfg = _experiment_config(merged, DRF_KEYS)
     dataset = ingest_jsonl(data, _schema_from(merged))
     raw_domains = merged.get("domains")
     domains = (
@@ -296,42 +251,37 @@ def _cmd_drf_extract(merged: dict, rc_hash: str) -> int:
     )
     out.mkdir(parents=True, exist_ok=True)
     for d in domains:
-        profile = extract_drf_set(
-            dataset, domains, d, rho=merged["rho"], k_drf=merged["k_drf"]
-        )
-        save_profile(out / f"{d}.json", profile, rho=merged["rho"])
+        profile = extract_drf_set(dataset, domains, d, rho=cfg.rho, k_drf=cfg.k_drf)
+        save_profile(out / f"{d}.json", profile, rho=cfg.rho)
         print(f"{d}: {len(profile.drfs)} features -> {out / f'{d}.json'}")
     vocab = build_vocabulary(dataset, domains)
-    emb = build_embeddings(dataset, domains, vocab, d_emb=merged["d_emb"], window=merged["window"])
+    emb = build_embeddings(dataset, domains, vocab, d_emb=cfg.d_emb, window=cfg.window)
     emb.write_text(out / "embeddings.txt")
     print(f"embeddings: {len(emb.vectors)} tokens x {emb.dim} dims -> {out / 'embeddings.txt'}")
-    print(f"config hash: {rc_hash}")
+    _print_hash(cfg, dataset)
     return 0
 
 
-def _cmd_train(merged: dict, rc_hash: str) -> int:
+def _cmd_train(merged: dict) -> int:
     data = _require(merged, "data")
     out = Path(_require(merged, "out"))
     target = _require(merged, "target")
     model = merged["model"]
     if model not in MODEL_NAMES:
         raise UsageError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    cfg = _experiment_config(merged)
     dataset = ingest_jsonl(data, _schema_from(merged))
     if target not in dataset.domains:
         raise ValueError(f"target {target!r} not a domain of {data}")
     sources = tuple(d for d in dataset.domains if d != target)
     setting = LeaveOneOutSetting(target=target, sources=sources)
-    cfg = _experiment_config(merged)
-    metric = _metric_from(merged, dataset)
     artifacts = build_artifacts(dataset, VARIANTS[model].domains(dataset, setting), cfg)
-    trained = train_variant(
-        dataset, setting, model, artifacts, cfg, cfg.seed, metric, cache={}
-    )
-    save_model_dir(out, trained, cfg, artifacts=artifacts, config_hash=rc_hash)
+    trained = train_variant(dataset, setting, model, artifacts, cfg, cfg.seed, cache={})
+    save_model_dir(out, trained, cfg, artifacts=artifacts)
     print(f"trained {model} (target {target}) -> {out}")
     for rec in trained.logs:
         print(f"  {json.dumps(rec, sort_keys=True)}")
-    print(f"config hash: {rc_hash}")
+    _print_hash(cfg, dataset)
     return 0
 
 
@@ -343,11 +293,12 @@ def _read_predict_records(path, schema: IngestSchema) -> list[Example]:
             for n, rec in read_records(path, schema)]
 
 
-def _cmd_predict(merged: dict, rc_hash: str) -> int:
+def _cmd_predict(merged: dict) -> int:
     model_dir = _require(merged, "model_dir")
     data = _require(merged, "data")
     out = Path(_require(merged, "out"))
     trained, cfg = load_model_dir(model_dir)
+    model_hash = cfg.config_hash(trained.label_set, trained.positive_class)
     examples = _read_predict_records(data, _schema_from(merged))
     beam_cfg = cfg.beam_config()
 
@@ -370,39 +321,39 @@ def _cmd_predict(merged: dict, rc_hash: str) -> int:
                 ],
                 "class_probs": [float(p) for p in probs[i]],
                 "predicted_label": trained.label_set[int(probs[i].argmax())],
-                "config_hash": rc_hash,
+                "config_hash": model_hash,
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"wrote {len(examples)} predictions -> {out}")
-    print(f"config hash: {rc_hash}")
+    print(f"config hash: {model_hash}")
     return 0
 
 
-def _cmd_run_loo(merged: dict, rc_hash: str) -> int:
+def _cmd_run_loo(merged: dict) -> int:
     data = _require(merged, "data")
     out = Path(_require(merged, "out"))
     models = [m.strip() for m in merged["models"].split(",") if m.strip()]
     if not models:
         raise UsageError("empty --models list")
+    unknown = [m for m in models if m not in MODEL_NAMES]
+    if unknown:
+        raise UsageError(f"unknown models {unknown}; expected names from {MODEL_NAMES}")
     seeds = None
     if merged.get("seeds") not in (None, ""):
         try:
             seeds = [int(s) for s in str(merged["seeds"]).split(",") if s.strip()]
         except ValueError:
             raise UsageError(f"--seeds must be comma-separated integers, got {merged['seeds']!r}")
-    dataset = ingest_jsonl(data, _schema_from(merged))
     cfg = _experiment_config(merged)
-    metric = _metric_from(merged, dataset)
-    cells = run_loo(
-        dataset, models, cfg, out, seeds=seeds, metric=metric, config_hash=rc_hash
-    )
+    dataset = ingest_jsonl(data, _schema_from(merged))
+    cells = run_loo(dataset, models, cfg, out, seeds=seeds)
     print(summary_table(cells))
     print(f"reports -> {out}")
-    print(f"config hash: {rc_hash}")
+    _print_hash(cfg, dataset)
     return 0
 
 
-def _cmd_report(merged: dict, rc_hash: str) -> int:
+def _cmd_report(merged: dict) -> int:
     run_dir = Path(_require(merged, "run_dir"))
     out = Path(merged["out"]) if merged.get("out") else run_dir
     models, targets = write_run_report(out, read_run_cells(run_dir))
@@ -428,9 +379,7 @@ def main(argv=None) -> int:
         command = f"drf {args.drf_command}"
     defaults = args._defaults_by_command[command]
     try:
-        merged = merge_config(defaults, args)
-        rc_hash = config_hash(command, merged)
-        return _BODIES[command](merged, rc_hash)
+        return _BODIES[command](merge_config(defaults, args))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

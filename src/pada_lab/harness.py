@@ -118,8 +118,16 @@ class ExperimentConfig:
     beam_size: int = 10
     num_groups: int = 5
     diversity_penalty: float = 1.5
+    # scoring: "binary" (F1 of the positive class), "macro" (macro F1),
+    # or "auto" (binary when the run has two labels and a positive class)
+    task_metric: str = "auto"
     # bookkeeping
     seed: int = 0
+
+    def __post_init__(self):
+        if self.task_metric not in ("auto", "binary", "macro"):
+            raise ValueError(
+                f"unknown task metric {self.task_metric!r}; expected auto, binary or macro")
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
         return ModelConfig(
@@ -155,9 +163,22 @@ class ExperimentConfig:
             diversity_penalty=self.diversity_penalty,
         )
 
-    def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+    def metric(self, dataset: MultiDomainDataset) -> MetricSpec:
+        """`task_metric` resolved against the run's label set and positive class."""
+        if self.task_metric == "binary":
+            return MetricSpec(kind="binary-F1", positive_class=dataset.positive_class)
+        if self.task_metric == "macro":
+            return MetricSpec(kind="macro-F1")
+        return metric_for_dataset(dataset)
+
+    def config_hash(self, label_set: Sequence[str], positive_class: str | None) -> str:
+        """The one hash of what a run computes: every setting, the label
+        set (its order fixes the class ids) and the positive class. Where
+        a run reads and writes, paths and the schema's field names, is
+        left out."""
+        payload = json.dumps({"config": asdict(self), "label_set": list(label_set),
+                              "positive_class": positive_class}, sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -429,7 +450,6 @@ def train_variant(
     artifacts: SettingArtifacts,
     cfg: ExperimentConfig,
     seed: int,
-    metric: MetricSpec,
     cache: dict | None = None,
 ) -> TrainedVariant:
     """Train one named variant for one setting, from artifacts built over
@@ -457,6 +477,7 @@ def train_variant(
             target=setting.target,
         )
         beam_cfg = cfg.beam_config()
+        metric = cfg.metric(dataset)
 
         def eval_fn_for(predict, dev):
             return lambda params: _score(
@@ -475,10 +496,8 @@ def run_setting(
     model: str,
     cfg: ExperimentConfig,
     seed: int | None = None,
-    metric: MetricSpec | None = None,
     artifacts: SettingArtifacts | None = None,
     cache: dict | None = None,
-    config_hash: str | None = None,
 ) -> ExperimentReport:
     """Train one variant in one setting and score both sides of the shift.
 
@@ -487,12 +506,12 @@ def run_setting(
     variant is scored on the full held-out target domain.
     """
     seed = cfg.seed if seed is None else seed
-    metric = metric if metric is not None else metric_for_dataset(dataset)
     variant = _variant(model)
     if artifacts is None:
         artifacts = build_artifacts(dataset, variant.domains(dataset, setting), cfg)
-    trained = train_variant(dataset, setting, model, artifacts, cfg, seed, metric, cache)
+    trained = train_variant(dataset, setting, model, artifacts, cfg, seed, cache)
 
+    metric = cfg.metric(dataset)
     beam_cfg = cfg.beam_config()
     if variant.all_domains:
         test_examples = list(dataset.dev[setting.target])
@@ -519,7 +538,7 @@ def run_setting(
         source_dev_f1=float(source_dev_f1),
         shift=float(source_dev_f1) - float(target_f1),
         seed=seed,
-        config_hash=config_hash if config_hash is not None else cfg.config_hash(),
+        config_hash=cfg.config_hash(dataset.label_set, dataset.positive_class),
         log=tuple(trained.logs),
         best_epoch=trained.best_epoch,
         fallback_count=fallbacks,
@@ -684,8 +703,6 @@ def run_loo(
     cfg: ExperimentConfig,
     out_dir,
     seeds: Sequence[int] | None = None,
-    metric: MetricSpec | None = None,
-    config_hash: str | None = None,
 ) -> dict[tuple[str, str], dict]:
     """Full leave-one-out grid: every domain once as target, every
     requested model per setting. Writes per-cell JSON under cells/, an
@@ -702,8 +719,8 @@ def run_loo(
         raise ValueError(f"unknown models {unknown}; expected names from {MODEL_NAMES}")
     if len(set(models)) != len(models):
         raise ValueError("duplicate model names")
+    cfg.metric(dataset)  # a metric the dataset cannot resolve fails before anything is written
     seeds = [cfg.seed] if not seeds else list(seeds)
-    metric = metric if metric is not None else metric_for_dataset(dataset)
     settings = make_loo_settings(dataset)
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
@@ -722,10 +739,7 @@ def run_loo(
             for model in models:
                 art = every_art if VARIANTS[model].all_domains else source_art
                 report = run_setting(
-                    dataset, setting, model, cfg,
-                    seed=seed, metric=metric, artifacts=art, cache=cache,
-                    config_hash=config_hash,
-                )
+                    dataset, setting, model, cfg, seed=seed, artifacts=art, cache=cache)
                 per_cell_reports.setdefault((model, setting.target), []).append(report)
             cache = {key: run for key, run in cache.items() if key[1] == all_domains}
 
@@ -765,20 +779,18 @@ def grid_search_alpha(
     dataset: MultiDomainDataset,
     values: Sequence[float],
     cfg: ExperimentConfig,
-    metric: MetricSpec | None = None,
 ) -> tuple[float, dict[float, float]]:
     """Pick the mixture share by pooled dev F1 with every domain acting
     as a source; ties go to the smaller value."""
     if not values:
         raise ValueError("empty alpha grid")
-    metric = metric if metric is not None else metric_for_dataset(dataset)
     all_domains = tuple(dataset.domains)
     setting = LeaveOneOutSetting(target="", sources=all_domains)
     artifacts = build_artifacts(dataset, all_domains, cfg)
     scores: dict[float, float] = {}
     for alpha in values:
-        trial_cfg = ExperimentConfig(**{**asdict(cfg), "alpha": float(alpha)})
-        trained = train_variant(dataset, setting, "pada", artifacts, trial_cfg, cfg.seed, metric)
+        trained = train_variant(
+            dataset, setting, "pada", artifacts, replace(cfg, alpha=float(alpha)), cfg.seed)
         scores[float(alpha)] = float(trained.best_dev)
     best = min(scores, key=lambda a: (-scores[a], a))
     return best, scores
@@ -792,7 +804,6 @@ def save_model_dir(
     trained: TrainedVariant,
     cfg: ExperimentConfig,
     artifacts: SettingArtifacts | None = None,
-    config_hash: str | None = None,
 ) -> None:
     """Self-contained directory a later `predict` run can reload:
     manifest, vocabulary, checkpoint(s), training log, and the source
@@ -807,7 +818,7 @@ def save_model_dir(
         "label_set": list(trained.label_set),
         "positive_class": trained.positive_class,
         "config": asdict(cfg),
-        "config_hash": config_hash if config_hash is not None else cfg.config_hash(),
+        "config_hash": cfg.config_hash(trained.label_set, trained.positive_class),
         "best_epoch": trained.best_epoch,
     }
     with open(out / "manifest.json", "w") as f:

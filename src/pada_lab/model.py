@@ -495,17 +495,17 @@ def _classify_fwd(cfg, P, states, mask):
     pooled = conv[b_idx, idx, f_idx]
     logits = pooled @ P["cls.proj.w"].T + P["cls.proj.b"]
     logp = logits - _logsumexp(logits)
-    return logp, (x, xp, conv, mask, idx, pooled, w, P["cls.proj.w"])
+    return logp, (xp, mask, idx, pooled, w, P["cls.proj.w"])
 
 
 def _classify_bwd(dlogits, cache, grads):
-    x, xp, conv, mask, idx, pooled, w, pw = cache
-    n_b, n_t, _ = x.shape
+    xp, mask, idx, pooled, w, pw = cache
+    n_b, n_t = mask.shape
     n_f, width, _ = w.shape
     grads["cls.proj.w"] = dlogits.T @ pooled
     grads["cls.proj.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ pw
-    dconv = np.zeros_like(conv)
+    dconv = np.zeros((n_b, n_t, n_f), dtype=pooled.dtype)
     b_idx = np.arange(n_b)[:, None]
     f_idx = np.arange(n_f)[None, :]
     dconv[b_idx, idx, f_idx] = dpooled
@@ -846,13 +846,13 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, np.ndarray]) -> No
             f.write(data.tobytes(order="C"))
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float)}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def config_from_dict(cls, values, where: str):
     """cls(**values), reporting a non-object, an unknown key, a missing
     key or a value of the wrong JSON type as a ValueError that names
-    `where`. `cls` is a dataclass of int and float fields."""
+    `where`. `cls` is a dataclass of int, float and str fields."""
     if not isinstance(values, dict):
         raise ValueError(f"{where}: expected a JSON object")
     unknown = sorted(set(values) - {f.name for f in fields(cls)})

@@ -12,7 +12,6 @@ from pada_lab.cli import (
     UsageError,
     _parse_scalar,
     build_parser,
-    config_hash,
     main,
     merge_config,
     read_config_file,
@@ -24,6 +23,7 @@ from pada_lab.harness import (
     build_artifacts,
     load_model_dir,
     read_run_cells,
+    run_loo,
     summary_table,
 )
 from pada_lab.inference import generate_candidates
@@ -117,23 +117,97 @@ class TestConfigFile:
         assert rc == 2
 
 
+def printed_hash(out: str) -> str:
+    (found,) = re.findall(r"^config hash: ([0-9a-f]{64})$", out, re.M)
+    return found
+
+
 class TestConfigHash:
-    def test_stable_for_same_values(self):
-        assert config_hash("train", {"a": 1}) == config_hash("train", {"a": 1})
+    """Every entry point records `ExperimentConfig.config_hash` of the
+    settings it computes with (see tests/test_harness.py::TestConfigHash)."""
 
-    def test_command_scoped(self):
-        assert config_hash("train", {"a": 1}) != config_hash("predict", {"a": 1})
+    @pytest.fixture(scope="class")
+    def small_data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("hash") / "corpus.jsonl"
+        assert main(["gen-data", "--out", str(path), "--n-domains", "2",
+                     "--examples-per-domain", "10", "--seed", "2"]) == 0
+        return path
 
-    def test_value_sensitive(self):
-        assert config_hash("train", {"a": 1}) != config_hash("train", {"a": 2})
+    def test_paths_are_not_settings(self, small_data, tmp_path, capsys):
+        # the same records under another text field name, in another place
+        renamed = tmp_path / "elsewhere" / "renamed.jsonl"
+        renamed.parent.mkdir()
+        rows = [json.loads(line) for line in small_data.read_text().splitlines()]
+        renamed.write_text("".join(
+            json.dumps({("body" if k == "text" else k): v for k, v in r.items()}) + "\n"
+            for r in rows))
+        hashes = []
+        for argv in (["--data", str(small_data), "--out", str(tmp_path / "a")],
+                     ["--data", str(renamed), "--out", str(tmp_path / "b"), "--text-field", "body"],
+                     ["--data", str(small_data), "--out", str(tmp_path / "c"), "--rho", "2.0"]):
+            assert main(["drf", "extract", *argv]) == 0
+            hashes.append(printed_hash(capsys.readouterr().out))
+        assert hashes[0] == hashes[1] != hashes[2]
 
-    def test_paths_are_not_settings(self):
-        def hashed(*flags):
-            args = build_parser().parse_args(["run-loo", *flags])
-            return config_hash("run-loo", merge_config(args._defaults_by_command["run-loo"], args))
+    def test_entry_points_print_one_hash(self, small_data, tmp_path, capsys):
+        dataset = ingest_jsonl(small_data)
+        hashes = {}
+        for name, argv in (
+            ("drf extract", ["drf", "extract", "--out", str(tmp_path / "drf")]),
+            ("train", ["train", "--out", str(tmp_path / "m"), "--model", "noda",
+                       "--target", dataset.domains[0]]),
+            ("run-loo", ["run-loo", "--out", str(tmp_path / "loo"), "--models", "noda"]),
+        ):
+            assert main([*argv, "--data", str(small_data)]) == 0, name
+            hashes[name] = printed_hash(capsys.readouterr().out)
+        want = ExperimentConfig().config_hash(dataset.label_set, dataset.positive_class)
+        assert hashes == dict.fromkeys(hashes, want)
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["config_hash"] == want
+        cells = read_run_cells(tmp_path / "loo")
+        assert {c["config_hash"] for c in cells.values()} == {want}
 
-        assert hashed("--data", "d", "--out", "y") == hashed("--data", "e", "--out", "z")
-        assert hashed("--out", "y", "--lr", "1e-3") != hashed("--out", "y", "--lr", "1e-2")
+    def test_cli_and_library_run_loo_record_one_hash(self, data_path, loo_dir, tmp_path):
+        # loo_dir is `run-loo --models noda` with TINY_MODEL_FLAGS
+        values = {}
+        for flag, value in zip(TINY_MODEL_FLAGS[::2], TINY_MODEL_FLAGS[1::2]):
+            key = flag[2:].replace("-", "_")
+            values[key] = type(getattr(ExperimentConfig, key))(value)
+        cfg = ExperimentConfig(**values)
+        dataset = ingest_jsonl(data_path)
+        run_loo(dataset, ["noda"], cfg, tmp_path / "lib")
+        cli_cells = read_run_cells(loo_dir)
+        lib_cells = read_run_cells(tmp_path / "lib")
+        assert lib_cells.keys() == cli_cells.keys()
+        want = cfg.config_hash(dataset.label_set, dataset.positive_class)
+        assert {c["config_hash"] for c in (*cli_cells.values(), *lib_cells.values())} == {want}
+        assert (tmp_path / "lib" / "aggregate.csv").read_bytes() == (
+            loo_dir / "aggregate.csv").read_bytes()
+
+    def test_predict_records_the_model_hash(self, noda_dir, data_path, tmp_path):
+        other = tmp_path / "noda-lr"
+        flags = [*TINY_MODEL_FLAGS]
+        flags[flags.index("--lr") + 1] = "5e-3"
+        assert main(["train", "--data", str(data_path), "--out", str(other),
+                     "--target", "aurora", "--model", "noda", *flags]) == 0
+        recorded = []
+        for model_dir in (noda_dir, other):
+            preds = tmp_path / f"{model_dir.name}.jsonl"
+            assert main(["predict", "--model-dir", str(model_dir), "--data", str(data_path),
+                         "--out", str(preds)]) == 0
+            want = json.loads((model_dir / "manifest.json").read_text())["config_hash"]
+            rows = [json.loads(line) for line in preds.read_text().splitlines()]
+            assert {r["config_hash"] for r in rows} == {want}
+            recorded.append(want)
+        assert recorded[0] != recorded[1]
+
+    def test_unknown_task_metric_is_2(self, data_path, tmp_path, capsys):
+        for argv in (["run-loo", "--models", "noda"], ["train", "--target", "aurora"]):
+            rc = main([*argv, "--data", str(data_path), "--out", str(tmp_path / "x"),
+                       "--task-metric", "accuracy"])
+            assert rc == 2
+            assert "task metric 'accuracy'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestExitCodes:
@@ -161,6 +235,13 @@ class TestExitCodes:
         rc = main(["train", "--data", str(data_path), "--out", str(tmp_path / "m"),
                    "--target", "aurora", "--model", "fancy"])
         assert rc == 2
+
+    def test_unknown_loo_model_is_2(self, data_path, tmp_path, capsys):
+        rc = main(["run-loo", "--data", str(data_path), "--out", str(tmp_path / "loo"),
+                   "--models", "noda,fancy"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: unknown models ['fancy']")
+        assert not (tmp_path / "loo").exists()
 
 
 class TestGenData:
@@ -343,6 +424,8 @@ class TestTrainPredictRoundTrip:
         ("tensor shape", "checkpoint.bin"),
         ("manifest not an object", "manifest.json"),
         ("unknown model", "manifest.json"),
+        ("task metric not a string", "manifest.json"),
+        ("unknown task metric", "manifest.json"),
         ("vocab not a token list", "vocab.json"),
     ])
     def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
@@ -364,6 +447,10 @@ class TestTrainPredictRoundTrip:
         elif damage == "unknown model":
             manifest = json.loads((model / "manifest.json").read_text())
             manifest["model"] = "fancy"
+            (model / "manifest.json").write_text(json.dumps(manifest))
+        elif damage in ("task metric not a string", "unknown task metric"):
+            manifest = json.loads((model / "manifest.json").read_text())
+            manifest["config"]["task_metric"] = 5 if damage.endswith("string") else "bogus"
             (model / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "vocab not a token list":
             (model / "vocab.json").write_text('{"tokens": 5}')
@@ -577,8 +664,11 @@ class TestRunLooAndReport:
         assert script.main(["--data", str(data_path), "--out", str(out),
                             "--models", "noda", "--epochs", "1"]) == 0
         printed = capsys.readouterr().out
-        assert summary_table(read_run_cells(out)) in printed
-        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports in ", printed)
+        cells = read_run_cells(out)
+        assert summary_table(cells) in printed
+        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports in .*\n"
+                         r"config hash: [0-9a-f]{64}\n", printed)
+        assert {c["config_hash"] for c in cells.values()} == {printed_hash(printed)}
 
 
 # Strings keep to a small alphabet, with "." and "/" so that a drawn

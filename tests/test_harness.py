@@ -1,6 +1,6 @@
 import collections
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,10 +101,52 @@ class TestExperimentConfig:
         assert cfg.train_config(9).seed == 9
 
     def test_hash_is_stable_and_sensitive(self):
+        labels = ("neg", "pos")
         a, b = small_cfg(), small_cfg()
-        assert a.config_hash() == b.config_hash()
-        assert small_cfg(lr=5e-4).config_hash() != a.config_hash()
-        assert len(a.config_hash()) == 64
+        assert a.config_hash(labels, "pos") == b.config_hash(labels, "pos")
+        assert small_cfg(lr=5e-4).config_hash(labels, "pos") != a.config_hash(labels, "pos")
+        assert len(a.config_hash(labels, "pos")) == 64
+
+    def test_task_metric_resolves_against_the_dataset(self):
+        ds = small_dataset()
+        assert small_cfg().metric(ds) == metric_for_dataset(ds)
+        assert small_cfg(task_metric="binary").metric(ds) == MetricSpec("binary-F1", "pos")
+        assert small_cfg(task_metric="macro").metric(ds) == MetricSpec("macro-F1")
+        no_positive = replace(ds, positive_class=None)
+        with pytest.raises(ValueError, match="positive class"):
+            small_cfg(task_metric="binary").metric(no_positive)
+
+    @pytest.mark.parametrize("choice", ["accuracy", "", 5, None])
+    def test_unknown_task_metric_rejected(self, choice):
+        with pytest.raises(ValueError, match="unknown task metric"):
+            small_cfg(task_metric=choice)
+
+
+class TestConfigHash:
+    """`ExperimentConfig.config_hash`, the one hash every entry point
+    records (see tests/test_cli.py::TestConfigHash)."""
+
+    LABELS = ("neg", "pos")
+
+    def test_stable_for_same_values(self):
+        a = small_cfg()
+        b = replace(small_cfg(lr=5e-4, task_metric="macro"), lr=a.lr, task_metric="auto")
+        assert a.config_hash(self.LABELS, "pos") == b.config_hash(list(self.LABELS), "pos")
+        assert len(a.config_hash(self.LABELS, "pos")) == 64
+
+    def test_value_sensitive(self):
+        cfg = small_cfg()
+        base = cfg.config_hash(self.LABELS, "pos")
+        for f in fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            changed = replace(cfg, **{f.name: "macro" if isinstance(value, str) else value + 1})
+            assert changed.config_hash(self.LABELS, "pos") != base, f.name
+
+    def test_label_set_and_positive_class_are_settings(self):
+        cfg = small_cfg()
+        hashes = {cfg.config_hash(("neg", "pos"), "pos"), cfg.config_hash(("pos", "neg"), "pos"),
+                  cfg.config_hash(("neg", "pos"), "neg"), cfg.config_hash(("neg", "pos"), None)}
+        assert len(hashes) == 4
 
 
 class TestBuildArtifacts:
@@ -272,7 +314,7 @@ class TestRunSetting:
         assert report.sources == ("forests", "plains")
         assert report.target_split == "test"
         assert report.shift == pytest.approx(report.source_dev_f1 - report.target_f1)
-        assert report.config_hash == cfg.config_hash()
+        assert report.config_hash == cfg.config_hash(ds.label_set, ds.positive_class)
         assert report.log
 
     def test_same_seed_is_deterministic(self):
@@ -287,10 +329,9 @@ class TestRunSetting:
         cfg = small_cfg()
         setting = self.setting(ds)
         art = build_artifacts(ds, setting.sources, cfg)
-        metric = metric_for_dataset(ds)
         cache: dict = {}
-        pada = train_variant(ds, setting, "pada", art, cfg, 0, metric, cache)
-        nc = train_variant(ds, setting, "pada-nc", art, cfg, 0, metric, cache)
+        pada = train_variant(ds, setting, "pada", art, cfg, 0, cache)
+        nc = train_variant(ds, setting, "pada-nc", art, cfg, 0, cache)
         assert nc.params is pada.params
         assert nc.model == "pada-nc"
 
@@ -311,7 +352,7 @@ class TestRunSetting:
         setting = self.setting(ds)
         art = build_artifacts(ds, setting.sources, cfg)
         with pytest.raises(ValueError, match="ub trains on"):
-            train_variant(ds, setting, "ub", art, cfg, 0, metric_for_dataset(ds))
+            train_variant(ds, setting, "ub", art, cfg, 0)
 
 
 class TestRunLoo:
@@ -391,10 +432,16 @@ class TestRunLoo:
         with pytest.raises(ValueError, match="duplicate"):
             run_loo(small_dataset(), ["noda", "noda"], small_cfg(), tmp_path)
 
+    def test_binary_metric_without_positive_class_writes_nothing(self, tmp_path):
+        ds = replace(small_dataset(), positive_class=None)
+        with pytest.raises(ValueError, match="positive class"):
+            run_loo(ds, ["noda"], small_cfg(task_metric="binary"), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
 class TestGridSearchAlpha:
     def scripted(self, monkeypatch, table):
-        def fake_train(dataset, setting, model, artifacts, cfg, seed, metric, cache=None):
+        def fake_train(dataset, setting, model, artifacts, cfg, seed, cache=None):
             assert model == "pada"
             return TrainedVariant(
                 model=model, model_cfg=None, vocab=artifacts.vocab,
@@ -425,7 +472,7 @@ class TestModelDirs:
         cfg = small_cfg()
         setting = LeaveOneOutSetting(target="rivers", sources=("forests", "plains"))
         art = build_artifacts(ds, setting.sources, cfg)
-        trained = train_variant(ds, setting, model, art, cfg, 0, metric_for_dataset(ds))
+        trained = train_variant(ds, setting, model, art, cfg, 0)
         return trained, cfg, art
 
     def test_round_trip_single_checkpoint(self, tmp_path):
@@ -470,6 +517,39 @@ class TestModelDirs:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"manifest\.json: config: unknown key 'threads'"):
             load_model_dir(tmp_path)
+
+    def edited_manifest(self, tmp_path, edit):
+        trained, cfg, _ = self.trained(small_dataset())
+        save_model_dir(tmp_path, trained, replace(cfg, task_metric="macro"))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        return manifest
+
+    @pytest.mark.parametrize("value,message", [
+        (5, "task_metric must be str, got 5"),
+        ("bogus", "unknown task metric 'bogus'"),
+    ])
+    def test_bad_task_metric_rejected(self, tmp_path, value, message):
+        self.edited_manifest(tmp_path, lambda c: c.update(task_metric=value))
+        with pytest.raises(ValueError, match=rf"manifest\.json: config: .*{message}"):
+            load_model_dir(tmp_path)
+
+    def test_manifest_without_task_metric_loads_as_auto(self, tmp_path):
+        manifest = self.edited_manifest(tmp_path, lambda c: c.pop("task_metric"))
+        _, cfg = load_model_dir(tmp_path)
+        assert cfg.task_metric == "auto"
+        assert cfg == ExperimentConfig(**manifest["config"])
+
+    def test_manifest_records_the_run_hash(self, tmp_path):
+        trained, cfg, _ = self.trained(small_dataset())
+        save_model_dir(tmp_path, trained, cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        loaded, loaded_cfg = load_model_dir(tmp_path)
+        assert manifest["config_hash"] == cfg.config_hash(trained.label_set, trained.positive_class)
+        assert manifest["config_hash"] == loaded_cfg.config_hash(
+            loaded.label_set, loaded.positive_class)
 
 
 class TestReferenceNumbers:

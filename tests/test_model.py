@@ -186,8 +186,8 @@ class TestClassify:
                 grads = {}
                 _classify_bwd(dlogits, cache, grads)
 
-                _, xp, conv, _, idx, _, w, pw = cache
-                dconv = np.zeros_like(conv)
+                xp, _, idx, _, w, pw = cache
+                dconv = np.zeros((n_b, n_t, w.shape[0]))
                 dconv[np.arange(n_b)[:, None], idx, np.arange(w.shape[0])[None, :]] = dlogits @ pw
                 want = np.zeros_like(w)
                 for k in range(width):
