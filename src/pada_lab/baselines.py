@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Example, Vocabulary, domain_token
-from .model import ModelConfig, _f64, classify, encode, pad_batch
+from .model import ModelConfig, classify, encode, pad_batch
 from .training import TrainConfig, TrainResult, build_disc_input, train
 
 
@@ -54,14 +54,11 @@ def classify_many(
         inputs.append(build_disc_input(prompt, text_ids, model_cfg.max_input_len))
     if not inputs:
         return np.zeros((0, model_cfg.n_classes))
-    # upcast what encode and classify read once here, so they convert
-    # nothing per batch
-    P = _f64(params, "embed", "enc", "cls")
     out = []
     for start in range(0, len(inputs), batch_size):
         ids, mask = pad_batch(inputs[start : start + batch_size])
-        states = encode(model_cfg, P, ids, mask)
-        out.append(np.exp(classify(model_cfg, P, states, mask)))
+        states = encode(model_cfg, params, ids, mask)
+        out.append(np.exp(classify(model_cfg, params, states, mask)))
     return np.concatenate(out, axis=0)
 
 

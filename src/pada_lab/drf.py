@@ -111,6 +111,12 @@ def ratio_filter(token_counts: dict[str, Counter], domain_j: str, rho: float) ->
     """Predicate passing tokens whose raw occurrence count outside
     domain_j is at most rho times the count inside it (and the inside
     count is positive). Counts are per-domain occurrence totals."""
+    return _ratio_filter(token_counts, domain_j, rho)[0]
+
+
+def _ratio_filter(token_counts, domain_j, rho):
+    """`ratio_filter`'s predicate, with the inside and outside counts it
+    reads."""
     if rho < 0:
         raise ValueError("rho must be non-negative")
     if domain_j not in token_counts:
@@ -127,7 +133,7 @@ def ratio_filter(token_counts: dict[str, Counter], domain_j: str, rho: float) ->
             return False
         return outside.get(token, 0) / c_in <= rho
 
-    return passes
+    return passes, inside, outside
 
 
 def domain_token_counts(dataset: MultiDomainDataset, sources) -> dict[str, Counter]:
@@ -151,14 +157,7 @@ def extract_drf_set(
     if k_drf < 1:
         raise ValueError("k_drf must be positive")
     mi = mutual_information(dataset, sources, domain_j)
-    counts = domain_token_counts(dataset, sources)
-    passes = ratio_filter(counts, domain_j, rho)
-    inside = counts[domain_j]
-    outside: Counter = Counter()
-    for d, c in counts.items():
-        if d != domain_j:
-            outside.update(c)
-
+    passes, inside, outside = _ratio_filter(domain_token_counts(dataset, sources), domain_j, rho)
     ordered = sorted(mi, key=lambda t: (-mi[t], t))
     survivors = [t for t in ordered if passes(t)][:k_drf]
     if not survivors:

@@ -52,7 +52,7 @@ from .drf import (
 )
 from .inference import BeamConfig, GeneratedPrompt, generate_candidates_many
 from .metrics import f1_binary, f1_macro
-from .model import ModelConfig, _f64, config_from_dict, load_checkpoint, save_checkpoint
+from .model import ModelConfig, config_from_dict, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 # Reference points from full-scale runs with a large pretrained
@@ -232,9 +232,6 @@ def pada_candidates_many(
     classification over best prompt + SEP + text. Returns the class
     probabilities and each example's `beam_cfg.num_candidates`
     candidates, best first."""
-    # once per request, not once per model call; generation and
-    # classification together read every tensor
-    params = _f64(params)
     candidates = generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[c[0].prompt_ids for c in candidates]
@@ -874,27 +871,39 @@ def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:
     positive_class = entry("positive_class", lambda v: v is None or isinstance(v, str),
                            "a string or null")
     target = entry("target", lambda v: v is None or isinstance(v, str), "a string or null")
-    vocab = load_vocab(model_dir / "vocab.json")
+    vocab_path = model_dir / "vocab.json"
+    vocab = load_vocab(vocab_path)
+
+    def checkpoint(path):
+        """The checkpoint at `path`, which must fit the manifest's labels
+        and the vocabulary."""
+        model_cfg, params = load_checkpoint(path)
+        if model_cfg.n_classes != len(label_set):
+            raise ValueError(f"{manifest_path}: {len(label_set)} labels, {path} has "
+                             f"{model_cfg.n_classes} classes")
+        if model_cfg.vocab_size != len(vocab):
+            raise ValueError(f"{vocab_path}: {len(vocab)} tokens, {path} has vocab_size "
+                             f"{model_cfg.vocab_size}")
+        return model_cfg, params
+
     params = None
     ensemble = None
     if model == "moe":
         params_by_domain = {}
         model_cfg = None
         for d in sources:
-            model_cfg, expert_params = load_checkpoint(model_dir / "experts" / f"{d}.bin")
-            params_by_domain[d] = expert_params
+            path = model_dir / "experts" / f"{d}.bin"
+            expert_cfg, params_by_domain[d] = checkpoint(path)
+            if model_cfg is not None and expert_cfg != model_cfg:
+                raise ValueError(f"{path}: config differs from {sources[0]}.bin's")
+            model_cfg = expert_cfg
         ensemble = ExpertEnsemble(
             model_cfg=model_cfg,
             domains=sources,
             params_by_domain=params_by_domain,
         )
     else:
-        model_cfg, params = load_checkpoint(model_dir / "checkpoint.bin")
-    if model_cfg is not None and model_cfg.n_classes != len(label_set):
-        raise ValueError(
-            f"{manifest_path}: {len(label_set)} labels, the checkpoint has "
-            f"{model_cfg.n_classes} classes"
-        )
+        model_cfg, params = checkpoint(model_dir / "checkpoint.bin")
     trained = TrainedVariant(
         model=model,
         model_cfg=model_cfg,

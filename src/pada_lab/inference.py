@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary
-from .model import ModelConfig, _f64, advance_decoder, encode, start_decoder
+from .model import ModelConfig, advance_decoder, encode, start_decoder
 
 
 # Most examples decoded in one search. The search holds every row's
@@ -158,7 +158,6 @@ def diverse_beam_search_many(
     then select in order, each across all inputs. An input whose
     candidates are settled stops (see the module docstring).
     """
-    P = _f64(params, "embed", "dec")
     n_in = enc_states.shape[0]
     n_groups = cfg.num_groups
     max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
@@ -177,7 +176,7 @@ def diverse_beam_search_many(
     rank = np.zeros(len(key), dtype=np.int64)
     parents = key % n_in  # the start state has one row per input
     tokens = np.full(len(key), BOS, dtype=np.int64)
-    state = start_decoder(model_cfg, P, enc_states, enc_mask)
+    state = start_decoder(model_cfg, params, enc_states, enc_mask)
     finished: list[list] = [[] for _ in range(n_in)]
     # each example's num_candidates-th best finished raw score so far
     settled = np.full(n_in, -np.inf)
@@ -186,7 +185,7 @@ def diverse_beam_search_many(
         if not parents.size:
             break
         example = key % n_in
-        state, logp = advance_decoder(model_cfg, P, state, parents, tokens, example)
+        state, logp = advance_decoder(model_cfg, params, state, parents, tokens, example)
         if step == max_len - 1:
             forced = np.full_like(logp, -np.inf)
             forced[:, EOS] = logp[:, EOS]
@@ -330,7 +329,6 @@ def generate_candidates_many(
     unpadded call and decoded as one search, so every example gets the
     bits of its own search."""
     beam_cfg = beam_cfg if beam_cfg is not None else BeamConfig()
-    P = _f64(params, "embed", "enc", "dec")
     buckets: dict[int, list[int]] = {}
     inputs = []
     for i, ex in enumerate(examples):
@@ -345,8 +343,8 @@ def generate_candidates_many(
             chunk = members[at : at + SEARCH_EXAMPLES]
             ids = np.array([inputs[i] for i in chunk], dtype=np.int64)
             mask = np.ones(ids.shape)
-            enc_states = encode(model_cfg, P, ids, mask)
-            hyp_lists = diverse_beam_search_many(model_cfg, P, enc_states, mask, beam_cfg)
+            enc_states = encode(model_cfg, params, ids, mask)
+            hyp_lists = diverse_beam_search_many(model_cfg, params, enc_states, mask, beam_cfg)
             for i, hyps in zip(chunk, hyp_lists):
                 out[i] = _prompts(vocab, hyps)
     return out

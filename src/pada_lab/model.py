@@ -4,8 +4,11 @@ Pre-norm transformer blocks, sinusoidal (non-trainable) positions, and a
 token embedding matrix shared between the encoder input, decoder input,
 and the generation softmax. All gradients are exact reverse-mode
 derivations; no autodiff. Parameters live in a flat name->array dict of
-float32 tensors; forward and backward computation upcasts to float64, so
-checkpoints round-trip bitwise while gradient checks stay tight.
+float64 tensors whose values are float32 numbers: `init_params` draws in
+float32, `load_checkpoint` reads float32 payloads and
+`training.adam_step` rounds each update to float32. So checkpoints
+round-trip bitwise, every kernel computes in float64 on the parameters
+as they are, and gradient checks stay tight.
 
 Shapes: B batch, T sequence length, D d_model, H heads, V vocab size,
 C classes, F conv filters.
@@ -100,33 +103,23 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Fresh float32 parameters, deterministic given cfg.seed: a small
-    normal embedding, Glorot-uniform weights (fan-in plus fan-out is the
-    first dimension plus the product of the rest), unit layer-norm
-    gains and zero biases, drawn in `param_shapes` order."""
+    """Fresh parameters, deterministic given cfg.seed: a small normal
+    embedding, Glorot-uniform weights (fan-in plus fan-out is the first
+    dimension plus the product of the rest), unit layer-norm gains and
+    zero biases, drawn in `param_shapes` order, rounded to float32 and
+    held as float64."""
     rng = np.random.default_rng(cfg.seed)
     p: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
         if name == "embed":
-            p[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+            w = rng.normal(0.0, 0.02, size=shape)
         elif len(shape) == 1:
-            p[name] = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=np.float32)
+            w = (np.ones if name.endswith(".g") else np.zeros)(shape)
         else:
             lim = math.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
-            p[name] = rng.uniform(-lim, lim, size=shape).astype(np.float32)
+            w = rng.uniform(-lim, lim, size=shape)
+        p[name] = w.astype(np.float32).astype(np.float64)
     return p
-
-
-def _f64(params: dict[str, np.ndarray], *reads: str) -> dict[str, np.ndarray]:
-    """float64 views or copies of the tensors whose names start with one
-    of `reads` ("enc" and "dec" cover each stack's layers and final
-    norm), or of every tensor when none is given."""
-    return {k: v.astype(np.float64, copy=False) for k, v in params.items()
-            if not reads or k.startswith(reads)}
-
-
-# the tensors one training batch reads, by task
-_TASK_READS = {"disc": ("embed", "enc", "cls"), "gen": ("embed", "enc", "dec")}
 
 
 @lru_cache(maxsize=32)
@@ -533,7 +526,7 @@ def encode(cfg: ModelConfig, params: dict, ids, mask=None) -> np.ndarray:
     else:
         mask = np.asarray(mask, dtype=np.float64)
     _check_ids(cfg, ids, mask, cfg.max_input_len, "input")
-    return _encoder_fwd(cfg, _f64(params, "embed", "enc"), ids, mask)
+    return _encoder_fwd(cfg, params, ids, mask)
 
 
 def classify(cfg: ModelConfig, params: dict, states, mask) -> np.ndarray:
@@ -545,7 +538,7 @@ def classify(cfg: ModelConfig, params: dict, states, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if (mask.sum(axis=1) == 0).any():
         raise ValueError("classification needs at least one unpadded position")
-    logp, _ = _classify_fwd(cfg, _f64(params, "cls"), np.asarray(states, dtype=np.float64), mask)
+    logp, _ = _classify_fwd(cfg, params, np.asarray(states, dtype=np.float64), mask)
     return logp
 
 
@@ -600,8 +593,7 @@ def _gemm(h, w, width):
 
 
 def start_decoder(cfg: ModelConfig, P: dict, enc_states, enc_mask) -> DecoderState:
-    """A state with one row per encoder row and no tokens consumed.
-    P holds float64 parameters."""
+    """A state with one row per encoder row and no tokens consumed."""
     enc_states = np.asarray(enc_states, dtype=np.float64)
     n_b = enc_states.shape[0]
     empty = np.zeros((n_b, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
@@ -645,7 +637,7 @@ def advance_decoder(cfg: ModelConfig, P: dict, state: DecoderState, parents, tok
     """Feed one token to each of R rows; row r continues the prefix of
     row parents[r] of `state`, so reordering a beam is one fancy index
     per layer. Returns the new state and next-token log-probabilities
-    [R,V]. P holds float64 parameters.
+    [R,V].
 
     Per row this is the last position of `_decoder_fwd` over the whole
     prefix: earlier positions are causal-masked from later ones, so
@@ -726,11 +718,10 @@ def decode_step(cfg: ModelConfig, params: dict, enc_states, enc_mask, prefixes) 
         raise ValueError(f"prefix exceeds max_output_len={cfg.max_output_len}")
     if prefix.min() < 0 or prefix.max() >= cfg.vocab_size:
         raise ValueError("prefix token id outside vocabulary")
-    P = _f64(params, "embed", "dec")
-    state = start_decoder(cfg, P, enc_states, enc_mask)
+    state = start_decoder(cfg, params, enc_states, enc_mask)
     parents = np.zeros(prefix.shape[0], dtype=np.int64)  # all start empty
     for t in range(prefix.shape[1]):
-        state, logp = advance_decoder(cfg, P, state, parents, prefix[:, t])
+        state, logp = advance_decoder(cfg, params, state, parents, prefix[:, t])
         parents = np.arange(prefix.shape[0])
     return logp
 
@@ -811,17 +802,15 @@ def loss_and_grads(cfg: ModelConfig, params: dict, batch):
     for the tensors the task reaches: a disc batch reaches `embed`, the
     encoder and the classifier, a gen batch `embed`, the encoder and the
     decoder. No other tensor gets a key (`adam_step` reads a missing
-    gradient as zero), and only the tensors the task reaches are
-    upcast to float64.
+    gradient as zero).
 
     Generative batches use teacher forcing with PAD positions excluded
     from the token-level mean; discriminative batches use mean class NLL.
     """
     if not batch:
         raise ValueError("empty batch")
-    P = _f64(params, *_TASK_READS.get(batch[0].task, ()))
-    task, loss, tape = _forward(cfg, P, batch)
-    return loss, _backward(cfg, P, task, tape)
+    task, loss, tape = _forward(cfg, params, batch)
+    return loss, _backward(cfg, params, task, tape)
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -880,7 +869,8 @@ def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint. A malformed file raises ValueError
+    """Inverse of save_checkpoint, the float32 payloads read as float64
+    arrays (see the module docstring). A malformed file raises ValueError
     naming the path: bad magic, a header that is not a JSON config,
     truncation or a length claiming more bytes than are left, bytes
     after the last tensor, or a tensor missing, unknown or shaped
@@ -910,7 +900,7 @@ def load_checkpoint(path):
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, size, path, what))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size, path, what))
             data = _read_exact(f, 4 * math.prod(shape), size, path, what)  # Python ints
-            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
     expected = param_shapes(cfg)

@@ -227,9 +227,11 @@ def adam_step(
 ):
     """One bias-corrected Adam update at the scheduled learning rate.
 
-    Math runs in float64; the returned tensors keep each parameter's
-    dtype. Every updated tensor is a new array: no parameter array is
-    ever written. Raises on non-finite gradients, naming the tensor.
+    Math runs in float64. Each updated tensor is rounded to float32 and
+    returned in the parameter's own dtype, so float64 parameters stay on
+    the float32 grid that `init_params` and `load_checkpoint` put them
+    on. Every updated tensor is a new array: no parameter array is ever
+    written. Raises on non-finite gradients, naming the tensor.
 
     A tensor missing from `grads` has a zero gradient (`loss_and_grads`
     gives keys only to the tensors a batch reaches). Without state it
@@ -280,6 +282,7 @@ def adam_step(
         den += ADAM_EPS
         update /= den
         np.subtract(p, update, out=update)
+        update[...] = update.astype(np.float32)  # back onto the float32 grid
         new_params[name] = update.astype(p.dtype, copy=False)
     return new_params, state
 

@@ -427,11 +427,14 @@ class TestTrainPredictRoundTrip:
         ("task metric not a string", "manifest.json"),
         ("unknown task metric", "manifest.json"),
         ("vocab not a token list", "vocab.json"),
+        ("vocab shorter than the checkpoint", "vocab.json"),
+        ("pada vocab shorter than the checkpoint", "vocab.json"),
     ])
-    def test_predict_bad_model_dir_exits_1(self, noda_dir, data_path, tmp_path, capsys,
+    def test_predict_bad_model_dir_exits_1(self, request, data_path, tmp_path, capsys,
                                            damage, named):
         model = tmp_path / "model"
-        shutil.copytree(noda_dir, model)
+        shutil.copytree(request.getfixturevalue(
+            "pada_dir" if damage.startswith("pada ") else "noda_dir"), model)
         ckpt = model / "checkpoint.bin"
         if damage == "config key":
             manifest = json.loads((model / "manifest.json").read_text())
@@ -454,6 +457,9 @@ class TestTrainPredictRoundTrip:
             (model / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "vocab not a token list":
             (model / "vocab.json").write_text('{"tokens": 5}')
+        elif damage.endswith("vocab shorter than the checkpoint"):
+            tokens = json.loads((model / "vocab.json").read_text())["tokens"]
+            (model / "vocab.json").write_text(json.dumps({"tokens": tokens[:10]}))
         elif damage == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:-5])
         else:

@@ -28,6 +28,7 @@ from pada_lab.harness import (
     write_run_report,
 )
 from pada_lab.metrics import f1_binary
+from pada_lab.model import init_params, save_checkpoint
 from tests.conftest import make_dataset
 
 DOMAIN_WORDS = {"rivers": "delta", "forests": "canopy", "plains": "prairie"}
@@ -467,6 +468,14 @@ class TestGridSearchAlpha:
             grid_search_alpha(small_dataset(), [], small_cfg())
 
 
+def assert_same_params(got, want):
+    """Same names, and every tensor the same dtype and bytes."""
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].dtype == want[k].dtype, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 class TestModelDirs:
     def trained(self, ds, model="noda"):
         cfg = small_cfg()
@@ -488,10 +497,7 @@ class TestModelDirs:
         assert loaded.model == "noda"
         assert loaded.label_set == trained.label_set
         assert loaded.vocab.id_to_token == trained.vocab.id_to_token
-        for k in trained.params:
-            assert np.array_equal(
-                loaded.params[k], trained.params[k].astype(np.float32)
-            ), k
+        assert_same_params(loaded.params, trained.params)
 
     def test_round_trip_expert_ensemble(self, tmp_path):
         ds = small_dataset()
@@ -502,6 +508,34 @@ class TestModelDirs:
         loaded, _ = load_model_dir(tmp_path)
         assert loaded.ensemble is not None
         assert loaded.ensemble.domains == ("forests", "plains")
+        assert loaded.ensemble.model_cfg == trained.ensemble.model_cfg
+        for d in loaded.ensemble.domains:
+            assert_same_params(loaded.ensemble.params_by_domain[d],
+                               trained.ensemble.params_by_domain[d])
+
+    @pytest.mark.parametrize("damage,message", [
+        ("vocab", r"vocab\.json: \d+ tokens, .*experts/forests\.bin has vocab_size"),
+        ("labels", r"manifest\.json: 3 labels, .*experts/forests\.bin has 2 classes"),
+        ("config", r"experts/plains\.bin: config differs from forests\.bin's"),
+    ])
+    def test_every_expert_must_fit_the_dir(self, tmp_path, damage, message):
+        trained, cfg, _ = self.trained(small_dataset(), model="moe")
+        save_model_dir(tmp_path, trained, cfg)
+        if damage == "config":
+            # a wider expert, as if copied from another run
+            wide = replace(trained.ensemble.model_cfg, d_ffn=2 * trained.ensemble.model_cfg.d_ffn)
+            save_checkpoint(tmp_path / "experts" / "plains.bin", wide, init_params(wide))
+        elif damage == "vocab":
+            path = tmp_path / "vocab.json"
+            tokens = json.loads(path.read_text())["tokens"]
+            path.write_text(json.dumps({"tokens": tokens[:-1]}))
+        else:
+            path = tmp_path / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["label_set"].append("extra")
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message):
+            load_model_dir(tmp_path)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):

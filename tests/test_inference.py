@@ -21,7 +21,6 @@ from pada_lab.inference import (
 from pada_lab.model import (
     ModelConfig,
     _decoder_fwd,
-    _f64,
     _logsumexp,
     advance_decoder,
     decode_step,
@@ -290,13 +289,12 @@ class TestDiverseBeam:
 def full_prefix_logp(cfg, params, enc, mask, prefixes):
     """Next-token logp re-running the training decoder over whole
     prefixes, with the encoder states repeated per row."""
-    P = _f64(params)
     ids = np.array([(BOS,) + tuple(p) for p in prefixes], dtype=np.int64)
     n = len(prefixes)
     states = _decoder_fwd(
-        cfg, P, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
+        cfg, params, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
     )
-    logits = states[:, -1] @ P["embed"].T
+    logits = states[:, -1] @ params["embed"].T
     return logits - _logsumexp(logits)
 
 

@@ -11,7 +11,6 @@ from pada_lab.model import (
     _attn_bwd,
     _attn_fwd,
     _decoder_fwd,
-    _f64,
     _classify_bwd,
     _classify_fwd,
     _ffn_bwd,
@@ -31,7 +30,7 @@ from pada_lab.model import (
     save_checkpoint,
     start_decoder,
 )
-from pada_lab.training import TaskInstance
+from pada_lab.training import AdamState, TaskInstance, TrainConfig, adam_step
 from tests import oracles
 from tests.conftest import edit_checkpoint_header
 
@@ -83,9 +82,28 @@ class TestInitParams:
         b = init_params(tiny_cfg(seed=2))
         assert not np.array_equal(a["embed"], b["embed"])
 
-    def test_float32_canonical(self):
-        for k, v in init_params(tiny_cfg()).items():
-            assert v.dtype == np.float32, k
+    def test_parameters_rest_on_the_float32_grid(self, tmp_path):
+        """Every path a parameter enters or changes by gives a float64
+        array equal to its own float32 rounding: `init_params`,
+        `load_checkpoint`, and `adam_step`'s gradient update, its
+        zero-gradient update of a tensor with state, and its stateless
+        skip."""
+        cfg = tiny_cfg()
+        p = init_params(cfg)
+        save_checkpoint(tmp_path / "model.bin", cfg, p)
+        _, loaded = load_checkpoint(tmp_path / "model.bin")
+        grads = {"embed": np.random.default_rng(0).normal(size=p["embed"].shape)}
+        step_cfg = TrainConfig(lr=0.1)
+        stepped, state = adam_step(p, grads, AdamState(), 1, step_cfg, 10, 0)
+        coasted, _ = adam_step(stepped, {}, state, 2, step_cfg, 10, 0)
+        assert not np.array_equal(stepped["embed"], p["embed"])  # gradient update
+        assert not np.array_equal(coasted["embed"], stepped["embed"])  # zero gradient
+        assert coasted["cls.proj.w"] is p["cls.proj.w"]  # stateless skip
+        for params in (p, loaded, stepped, coasted):
+            assert params.keys() == p.keys()
+            for k, v in params.items():
+                assert v.dtype == np.float64, k
+                assert np.array_equal(v, v.astype(np.float32)), k
 
     def test_key_shapes(self):
         cfg = tiny_cfg()
@@ -175,7 +193,7 @@ class TestClassify:
         # reference: the per-width einsum over batch and time
         rng = np.random.default_rng(width)
         cfg = tiny_cfg(conv_width=width, conv_filters=4)
-        P = {k: v + rng.normal(size=v.shape) for k, v in _f64(init_params(cfg)).items()}
+        P = {k: v + rng.normal(size=v.shape) for k, v in init_params(cfg).items()}
         for n_b in (1, 3):
             for n_t in range(1, 13):
                 states = rng.normal(size=(n_b, n_t, cfg.d_model))
@@ -231,10 +249,9 @@ class TestDecodeStep:
         # the sequences the rows now hold.
         rng = np.random.default_rng(0)
         cfg = tiny_cfg(n_layers=2)
-        p = init_params(cfg)
-        P = _f64(p)
+        P = init_params(cfg)
         ids, mask = pad_batch([[6, 7, 8, 9]])
-        enc = encode(cfg, p, ids, mask)
+        enc = encode(cfg, P, ids, mask)
         n_rows = 10
         state = start_decoder(cfg, P, enc, mask)
         seqs = np.full((n_rows, 1), BOS)
@@ -248,7 +265,7 @@ class TestDecodeStep:
             logits = states[:, -1] @ P["embed"].T
             np.testing.assert_allclose(logp, logits - _logsumexp(logits), rtol=0, atol=1e-12)
             for r in (0, n_rows - 1):
-                alone = decode_step(cfg, p, enc, mask, seqs[r : r + 1])
+                alone = decode_step(cfg, P, enc, mask, seqs[r : r + 1])
                 np.testing.assert_allclose(logp[r : r + 1], alone, rtol=0, atol=1e-12)
             parents = rng.integers(0, n_rows, size=n_rows)
             tokens = rng.integers(EOS + 1, cfg.vocab_size, size=n_rows)
@@ -271,7 +288,7 @@ class TestAdvanceDecoderRows:
     @pytest.mark.parametrize("n_in", [1, 3])
     def test_row_bits_do_not_depend_on_the_batch(self, widths, n_in):
         cfg = tiny_cfg(n_layers=2, max_output_len=4, **widths)
-        P = _f64(init_params(cfg))
+        P = init_params(cfg)
         # logits as large as their log-sum-exp, so that a last-bit
         # change in one still shows in the log-probabilities
         P["embed"] *= 50.0
@@ -506,10 +523,10 @@ def traced_bytes(fn):
 class TestStepMemory:
     """One training step and one encode at the desk shape (B 16, input
     T 41, D 64, F 128, 2 layers), against the bytes the forward pass
-    and the float64 upcast of the tensors the batch reaches leave
-    cached. The backward pass frees each cache once it has been read
-    and gives no gradient to a tensor the batch does not reach, and
-    encode keeps no backward cache, so neither peaks far above that."""
+    leaves cached. The backward pass frees each cache once it has been
+    read and gives no gradient to a tensor the batch does not reach, no
+    path copies the parameters, and encode keeps no backward cache, so
+    neither peaks far above that."""
 
     cfg = ModelConfig(vocab_size=68, n_classes=2, max_output_len=16)
 
@@ -520,18 +537,15 @@ class TestStepMemory:
         return gen_batch(self.cfg, rng.integers(6, 68, (16, 30)).tolist(),
                          rng.integers(6, 68, (16, 11)).tolist())
 
-    def cached(self, params, batch, unreached):
-        def forward():
-            P = {k: v.astype(np.float64) for k, v in params.items() if not k.startswith(unreached)}
-            return P, _forward(self.cfg, P, batch)
-        return traced_bytes(forward)[0]
+    def cached(self, params, batch):
+        return traced_bytes(lambda: _forward(self.cfg, params, batch))[0]
 
-    @pytest.mark.parametrize("task,unreached", [("disc", "dec"), ("gen", "cls.")])
-    def test_step_peaks_near_its_forward_caches(self, task, unreached):
+    @pytest.mark.parametrize("task", ["disc", "gen"])
+    def test_step_peaks_near_its_forward_caches(self, task):
         params = init_params(self.cfg)
         batch = self.batch(task)
         loss_and_grads(self.cfg, params, batch)  # fill the position and mask tables
-        cached = self.cached(params, batch, unreached)
+        cached = self.cached(params, batch)
         _, peak = traced_bytes(lambda: loss_and_grads(self.cfg, params, batch))
         assert peak <= 1.3 * cached, (peak, cached)
 
@@ -540,7 +554,7 @@ class TestStepMemory:
         batch = self.batch("disc")
         ids, mask = pad_batch([inst.input_ids for inst in batch])
         encode(self.cfg, params, ids, mask)
-        cached = self.cached(params, batch, "dec")
+        cached = self.cached(params, batch)
         _, peak = traced_bytes(lambda: encode(self.cfg, params, ids, mask))
         assert peak < 0.8 * cached, (peak, cached)
 
