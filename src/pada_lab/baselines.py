@@ -47,11 +47,8 @@ def classify_many(
         raise ValueError("one prompt per example required")
     inputs = []
     for i, ex in enumerate(examples):
-        text_ids = vocab.encode_text(ex.text)
-        if not text_ids:
-            raise ValueError(f"example {ex.id!r} has no tokens")
         prompt = prompts[i] if prompts is not None else ()
-        inputs.append(build_disc_input(prompt, text_ids, model_cfg.max_input_len))
+        inputs.append(build_disc_input(prompt, vocab.encode_tokens(ex.tokens), model_cfg.max_input_len))
     if not inputs:
         return np.zeros((0, model_cfg.n_classes))
     out = []

@@ -41,6 +41,7 @@ from .harness import (
     train_variant,
     write_run_report,
 )
+from .model import config_from_dict
 
 
 class UsageError(Exception):
@@ -140,11 +141,12 @@ def _schema_from(merged: dict) -> IngestSchema:
     )
 
 
-def _experiment_config(merged: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
-    """The run's settings: `keys` from `merged`, defaults for the rest."""
+def _settings(cls, merged: dict, keys):
+    """cls from `keys` of `merged`; a value of the wrong type (config-file
+    values are untyped) or out of range is a usage error naming the key."""
     try:
-        return ExperimentConfig(**{k: merged[k] for k in keys})
-    except ValueError as e:  # a setting no run can take, such as an unknown task metric
+        return config_from_dict(cls, {k: merged[k] for k in keys}, "config")
+    except ValueError as e:
         raise UsageError(str(e)) from e
 
 
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(merged: dict) -> int:
     out = Path(_require(merged, "out"))
-    spec = SyntheticSpec(**{k: merged[k] for k in SYNTH_KEYS})
+    spec = _settings(SyntheticSpec, merged, SYNTH_KEYS)
     dataset = generate_synthetic(spec)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(dataset, out)
@@ -242,19 +244,22 @@ def _cmd_drf_extract(merged: dict) -> int:
 
     data = _require(merged, "data")
     out = Path(_require(merged, "out"))
-    cfg = _experiment_config(merged, DRF_KEYS)
+    cfg = _settings(ExperimentConfig, merged, DRF_KEYS)
     dataset = ingest_jsonl(data, _schema_from(merged))
     raw_domains = merged.get("domains")
     domains = (
         tuple(s.strip() for s in raw_domains.split(",") if s.strip())
         if raw_domains else tuple(dataset.domains)
     )
+    vocab = build_vocabulary(dataset, domains)  # rejects an unknown domain
+    repeated = sorted({d for d in domains if domains.count(d) > 1})
+    if repeated:
+        raise ValueError(f"domains named more than once: {repeated}")
     out.mkdir(parents=True, exist_ok=True)
     for d in domains:
         profile = extract_drf_set(dataset, domains, d, rho=cfg.rho, k_drf=cfg.k_drf)
         save_profile(out / f"{d}.json", profile, rho=cfg.rho)
         print(f"{d}: {len(profile.drfs)} features -> {out / f'{d}.json'}")
-    vocab = build_vocabulary(dataset, domains)
     emb = build_embeddings(dataset, domains, vocab, d_emb=cfg.d_emb, window=cfg.window)
     emb.write_text(out / "embeddings.txt")
     print(f"embeddings: {len(emb.vectors)} tokens x {emb.dim} dims -> {out / 'embeddings.txt'}")
@@ -269,7 +274,7 @@ def _cmd_train(merged: dict) -> int:
     model = merged["model"]
     if model not in MODEL_NAMES:
         raise UsageError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    cfg = _experiment_config(merged)
+    cfg = _settings(ExperimentConfig, merged, EXPERIMENT_KEYS)
     dataset = ingest_jsonl(data, _schema_from(merged))
     if target not in dataset.domains:
         raise ValueError(f"target {target!r} not a domain of {data}")
@@ -344,7 +349,7 @@ def _cmd_run_loo(merged: dict) -> int:
             seeds = [int(s) for s in str(merged["seeds"]).split(",") if s.strip()]
         except ValueError:
             raise UsageError(f"--seeds must be comma-separated integers, got {merged['seeds']!r}")
-    cfg = _experiment_config(merged)
+    cfg = _settings(ExperimentConfig, merged, EXPERIMENT_KEYS)
     dataset = ingest_jsonl(data, _schema_from(merged))
     cells = run_loo(dataset, models, cfg, out, seeds=seeds)
     print(summary_table(cells))

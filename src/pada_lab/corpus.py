@@ -4,12 +4,16 @@ Ingestion from JSONL, whitespace-free tokenization, vocabulary
 construction over source domains only, leave-one-out setting
 enumeration, and a deterministic synthetic multi-domain generator.
 All containers are read-only after construction.
+
+A text is tokenized once, when its `Example` is built; every later
+stage reads `Example.tokens`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -21,10 +25,6 @@ SPECIAL_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>", "<sep>", "<domain>")
 SEP_TOKEN = SPECIAL_TOKENS[SEP]
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-# Texts whose ids one vocabulary remembers; training re-encodes the same
-# texts every epoch and evaluation every call.
-_TEXT_IDS_CAP = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -49,21 +49,30 @@ def domain_token(name: str) -> str:
 
 @dataclass(frozen=True)
 class Example:
+    """One labelled text. `tokens`, interned `tokenize(text)`, is set once
+    at construction and is left out of equality, hashing and the repr; a
+    text with no tokens raises a ValueError."""
+
     id: str
     text: str
     label: str
     domain: str
+    tokens: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        tokens = tuple(map(sys.intern, tokenize(self.text)))
+        if not tokens:
+            raise ValueError(f"example {self.id!r} has no tokens")
+        object.__setattr__(self, "tokens", tokens)
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token/id bijection with fixed special ids at 0..5."""
+    """Token/id bijection with fixed special ids at 0..5. It maps
+    tokens, not texts: callers encode an example's `tokens`."""
 
     id_to_token: tuple[str, ...]
     token_to_id: dict[str, int] = field(compare=False, repr=False)
-    _text_ids: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if tuple(self.id_to_token[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
@@ -83,18 +92,8 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 
-    def encode_tokens(self, tokens) -> list[int]:
-        return [self.token_to_id.get(t, UNK) for t in tokens]
-
-    def encode_text(self, text: str) -> tuple[int, ...]:
-        """Ids of tokenize(text), memoised for the first _TEXT_IDS_CAP
-        distinct texts."""
-        ids = self._text_ids.get(text)
-        if ids is None:
-            ids = tuple(self.encode_tokens(tokenize(text)))
-            if len(self._text_ids) < _TEXT_IDS_CAP:
-                self._text_ids[text] = ids
-        return ids
+    def encode_tokens(self, tokens) -> tuple[int, ...]:
+        return tuple(self.token_to_id.get(t, UNK) for t in tokens)
 
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -165,8 +164,6 @@ class MultiDomainDataset:
                         raise ValueError(
                             f"label {ex.label!r} not in declared label set {self.label_set}"
                         )
-                    if not tokenize(ex.text):
-                        raise ValueError(f"example {ex.id!r} is empty after tokenization")
                     ids[ex.id] += 1
             dupes = [i for i, c in ids.items() if c > 1]
             if dupes:
@@ -255,8 +252,9 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
     and "label", "domain", "id" and "split" when the record has them,
     all as strings. Every field must be a JSON string, except that a
     label or an id may also be an integer. A line that is not a JSON
-    object, or has no text, or a field of another type, or a domain
-    `check_domain_name` rejects, raises a ValueError naming the line.
+    object, or has no text, or a text with no tokens, or a field of
+    another type, or a domain `check_domain_name` rejects, raises a
+    ValueError naming the line.
     """
     optional = {"label": _STRING_OR_INT, "domain": _STRING, "id": _STRING_OR_INT,
                 "split": _STRING}
@@ -280,6 +278,8 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
                 text = f"{premise} {SEP_TOKEN} {hypothesis}"
             else:
                 raise ValueError(f"{where}: no {schema.text!r} or sentence-pair fields")
+            if not tokenize(text):
+                raise ValueError(f"{where}: text has no word tokens")
             fields = {"text": text}
             for key, kind in optional.items():
                 name = getattr(schema, key)
@@ -320,8 +320,6 @@ def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainData
         if not domain:
             raise ValueError(f"line {n}: missing or empty {schema.domain!r} field")
         ex_id = rec.get("id", f"{domain}-{n}")
-        if not tokenize(text):
-            raise ValueError(f"line {n}: text empty after tokenization")
         if domain not in domains:
             domains.append(domain)
         if label not in seen_labels:
@@ -384,7 +382,7 @@ def build_vocabulary(dataset: MultiDomainDataset, sources) -> Vocabulary:
             raise ValueError(f"unknown source domain {s!r}")
     counts: Counter = Counter()
     for ex in dataset.train_examples(sources):
-        counts.update(tokenize(ex.text))
+        counts.update(ex.tokens)
     if not counts:
         raise ValueError("no source training text to build a vocabulary from")
     kept = sorted(

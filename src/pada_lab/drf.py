@@ -21,7 +21,6 @@ from .corpus import (
     Example,
     MultiDomainDataset,
     Vocabulary,
-    tokenize,
 )
 
 
@@ -68,7 +67,7 @@ def mutual_information(dataset: MultiDomainDataset, sources, domain_j: str) -> d
     in_domain: list[bool] = []
     for d in sources:
         for ex in dataset.train[d]:
-            doc_tokens.append(set(tokenize(ex.text)))
+            doc_tokens.append(set(ex.tokens))
             in_domain.append(d == domain_j)
     n_docs = len(doc_tokens)
     if n_docs == 0:
@@ -139,7 +138,7 @@ def _ratio_filter(token_counts, domain_j, rho):
 def domain_token_counts(dataset: MultiDomainDataset, sources) -> dict[str, Counter]:
     """Occurrence totals over each source domain's training text."""
     return {
-        d: Counter(t for ex in dataset.train[d] for t in tokenize(ex.text))
+        d: Counter(t for ex in dataset.train[d] for t in ex.tokens)
         for d in sources
     }
 
@@ -236,7 +235,7 @@ def build_embeddings(
     n = len(vocab)
     counts = np.zeros((n, n), dtype=np.float64)
     for ex in dataset.train_examples(list(sources)):
-        ids = np.asarray(vocab.encode_text(ex.text))
+        ids = np.asarray(vocab.encode_tokens(ex.tokens))
         for k in range(1, min(window, len(ids) - 1) + 1):
             a, b = ids[:-k], ids[k:]
             np.add.at(counts, (a, b), 1.0)
@@ -276,10 +275,7 @@ def annotate_prompt(
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    tokens = tokenize(example.text)
-    if not tokens:
-        raise ValueError(f"example {example.id!r} has no tokens")
-    token_vecs = np.array([emb.lookup(t) for t in dict.fromkeys(tokens)])
+    token_vecs = np.array([emb.lookup(t) for t in dict.fromkeys(example.tokens)])
 
     dists = []
     if profile.drfs:

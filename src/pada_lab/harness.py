@@ -716,8 +716,10 @@ def run_loo(
         raise ValueError(f"unknown models {unknown}; expected names from {MODEL_NAMES}")
     if len(set(models)) != len(models):
         raise ValueError("duplicate model names")
-    cfg.metric(dataset)  # a metric the dataset cannot resolve fails before anything is written
     seeds = [cfg.seed] if not seeds else list(seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {seeds}")
+    cfg.metric(dataset)  # a metric the dataset cannot resolve fails before anything is written
     settings = make_loo_settings(dataset)
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)

@@ -46,8 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, DOMAIN_PREFIX, UNK, Example, Vocabulary
+from .corpus import BOS, EOS, UNK, Example, Vocabulary
 from .model import ModelConfig, advance_decoder, encode, start_decoder
+from .training import build_gen_input
 
 
 # Most examples decoded in one search. The search holds every row's
@@ -332,10 +333,7 @@ def generate_candidates_many(
     buckets: dict[int, list[int]] = {}
     inputs = []
     for i, ex in enumerate(examples):
-        text_ids = vocab.encode_text(ex.text)
-        if not text_ids:
-            raise ValueError(f"example {ex.id!r} has no tokens")
-        inputs.append(((DOMAIN_PREFIX,) + text_ids)[: model_cfg.max_input_len])
+        inputs.append(build_gen_input(vocab.encode_tokens(ex.tokens), model_cfg.max_input_len))
         buckets.setdefault(len(inputs[-1]), []).append(i)
     out: list = [None] * len(examples)
     for members in buckets.values():

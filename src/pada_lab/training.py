@@ -93,19 +93,20 @@ def render_generative(
     longer than the cap are truncated with EOS preserved."""
     if annotation is None:
         raise ValueError(f"example {example.id!r}: generative rendering needs an annotation")
-    text_ids = vocab.encode_text(example.text)
-    if not text_ids:
-        raise ValueError(f"example {example.id!r} has no tokens")
-    input_ids = ((DOMAIN_PREFIX,) + text_ids)[:max_input_len]
     target = gold_prompt_ids(annotation, vocab, style=prompt_style) + [EOS]
     if len(target) > max_output_len:
         target = target[: max_output_len - 1] + [EOS]
     return TaskInstance(
         task="gen",
-        input_ids=input_ids,
+        input_ids=build_gen_input(vocab.encode_tokens(example.tokens), max_input_len),
         target_ids=tuple(target),
         example_id=example.id,
     )
+
+
+def build_gen_input(text_ids: tuple[int, ...], max_input_len: int) -> tuple[int, ...]:
+    """The generation-prefix token then the text, cut to max_input_len."""
+    return ((DOMAIN_PREFIX,) + text_ids)[:max_input_len]
 
 
 def build_disc_input(prompt_ids: Sequence[int], text_ids: Sequence[int], max_input_len: int) -> tuple[int, ...]:
@@ -131,16 +132,13 @@ def render_discriminative(
     label_set: Sequence[str],
     max_input_len: int,
 ) -> TaskInstance:
-    text_ids = vocab.encode_text(example.text)
-    if not text_ids:
-        raise ValueError(f"example {example.id!r}: empty text after tokenization")
     if example.label not in label_set:
         raise ValueError(
             f"example {example.id!r}: label {example.label!r} not in declared set {list(label_set)}"
         )
     return TaskInstance(
         task="disc",
-        input_ids=build_disc_input(prompt_ids, text_ids, max_input_len),
+        input_ids=build_disc_input(prompt_ids, vocab.encode_tokens(example.tokens), max_input_len),
         target_class=list(label_set).index(example.label),
         example_id=example.id,
     )

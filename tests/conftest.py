@@ -64,6 +64,7 @@ BAD_RECORDS = [
     pytest.param(lambda r: {**r, "domain": "../escaped"}, "domain", id="escaping domain"),
     pytest.param(lambda r: {**r, "text": 5}, "text", id="number text"),
     pytest.param(lambda r: {**r, "text": {"a": "b"}}, "text", id="dict text"),
+    pytest.param(lambda r: {**r, "text": "..."}, "text has no word tokens", id="text with no tokens"),
     pytest.param(lambda r: {**r, "label": True}, "label", id="bool label"),
 ]
 

@@ -116,6 +116,26 @@ class TestConfigFile:
         rc = main(["run-loo", "--config", str(path), "--data", "d", "--out", "o"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command,line,key", [
+        ("train", 'lr = "abc"', "lr"),
+        ("train", "epochs = 1.5", "epochs"),
+        ("train", "epochs = true", "epochs"),
+        ("run-loo", "task_metric = 3", "task_metric"),
+        ("gen-data", "seed = x", "seed"),
+        ("gen-data", "indicative_noise = no", "indicative_noise"),
+    ])
+    def test_wrongly_typed_value_exits_2(self, data_path, tmp_path, capsys, command, line, key):
+        """A config-file value of the wrong type is a usage error naming
+        its key, as the matching flag's is through argparse."""
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        out = tmp_path / "out"
+        inputs = {"train": ["--data", str(data_path), "--target", "aurora"],
+                  "run-loo": ["--data", str(data_path)], "gen-data": []}[command]
+        assert main([command, "--config", str(path), "--out", str(out), *inputs]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: config: {key} must be ")
+        assert not out.exists()
+
 
 def printed_hash(out: str) -> str:
     (found,) = re.findall(r"^config hash: ([0-9a-f]{64})$", out, re.M)
@@ -276,6 +296,18 @@ class TestDrfExtract:
         assert all({"token", "mi", "ratio"} <= set(d) for d in body["drfs"])
         assert (out / "embeddings.txt").exists()
         assert "config hash:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("domains,message", [
+        ("aurora,zzz", "unknown source domain 'zzz'"),
+        ("aurora,bazaar,aurora", "domains named more than once: ['aurora']"),
+    ])
+    def test_bad_domains_exit_1_before_writing(self, data_path, tmp_path, capsys, domains, message):
+        out = tmp_path / "drfs"
+        rc = main(["drf", "extract", "--data", str(data_path), "--out", str(out),
+                   "--domains", domains])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_defaults_match_the_pipeline(self, data_path, tmp_path):
         # With no flags, the profiles are the ones `train` builds and saves.
@@ -517,7 +549,7 @@ class TestTrainPredictRoundTrip:
         trained, cfg = load_model_dir(pada_dir)
         examples = [Example(id=f"x{i}", text=json.loads(line)["text"], label="", domain="")
                     for i, line in enumerate(data.read_text().splitlines())]
-        assert len({len(trained.vocab.encode_text(ex.text)) for ex in examples}) >= 2
+        assert len({len(ex.tokens) for ex in examples}) >= 2
         cands = [generate_candidates(trained.model_cfg, trained.params, trained.vocab, ex,
                                      cfg.beam_config()) for ex in examples]
         probs = classify_many(trained.model_cfg, trained.params, trained.vocab, examples,

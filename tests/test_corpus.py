@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
 
+class TestExample:
+    def test_tokens_are_the_tokenized_text(self):
+        ex = Example(id="e", text=f"Left, part {SEP_TOKEN} right", label="pos", domain="d")
+        assert ex.tokens == tuple(tokenize(ex.text))
+
+    def test_tokens_take_no_part_in_equality_or_repr(self):
+        a = Example(id="e", text="alpha beta", label="pos", domain="d")
+        b = Example(id="e", text="alpha beta", label="pos", domain="d")
+        assert a == b and hash(a) == hash(b)
+        assert "tokens" not in repr(a)
+
+    def test_replace_retokenizes(self):
+        a = Example(id="e", text="alpha beta", label="pos", domain="d")
+        assert replace(a, text="gamma").tokens == ("gamma",)
+
+
 class TestVocabulary:
     def test_special_ids_occupy_first_six(self):
         v = Vocabulary.from_tokens(["alpha", "beta"])
@@ -70,7 +87,7 @@ class TestVocabulary:
 
     def test_encode_decode_round_trip(self):
         v = Vocabulary.from_tokens(["alpha", "beta"])
-        ids = v.encode_text(f"beta {SEP_TOKEN} alpha")
+        ids = v.encode_tokens(tokenize(f"beta {SEP_TOKEN} alpha"))
         assert v.decode(ids) == ["beta", SEP_TOKEN, "alpha"]
 
     def test_save_load_round_trip(self, tmp_path):

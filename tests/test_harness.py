@@ -433,6 +433,11 @@ class TestRunLoo:
         with pytest.raises(ValueError, match="duplicate"):
             run_loo(small_dataset(), ["noda", "noda"], small_cfg(), tmp_path)
 
+    def test_duplicate_seeds_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match=r"duplicate seeds in \[1, 1\]"):
+            run_loo(small_dataset(), ["noda"], small_cfg(), tmp_path / "run", seeds=[1, 1])
+        assert not (tmp_path / "run").exists()
+
     def test_binary_metric_without_positive_class_writes_nothing(self, tmp_path):
         ds = replace(small_dataset(), positive_class=None)
         with pytest.raises(ValueError, match="positive class"):

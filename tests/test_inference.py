@@ -661,9 +661,9 @@ class TestGenerateAndPredict:
         assert cands[0].prompt_ids == (UNK,)
 
     def test_empty_text_rejected(self):
-        bad = Example(id="e1", text="  ", label="pos", domain="d")
-        with pytest.raises(ValueError, match="tokens"):
-            generate_candidates(self.cfg, self.params, VOCAB, bad)
+        # no example without tokens reaches the search: building it fails
+        with pytest.raises(ValueError, match="'e1' has no tokens"):
+            Example(id="e1", text="  ", label="pos", domain="d")
 
     def test_classify_with_prompt_returns_distribution(self):
         probs = classify_many(self.cfg, self.params, VOCAB, [self.ex], prompts=[(7,)])

@@ -119,8 +119,9 @@ class TestRenderGenerative:
             render_generative(ex(), None, VOCAB, max_input_len=16, max_output_len=8)
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="tokens"):
-            render_generative(ex(text="   "), ann(), VOCAB, max_input_len=16, max_output_len=8)
+        # no example without tokens reaches rendering: building it fails
+        with pytest.raises(ValueError, match="'e0' has no tokens"):
+            ex(text="   ")
 
 
 class TestBuildDiscInput:
