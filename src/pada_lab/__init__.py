@@ -36,7 +36,7 @@ from .harness import (
     run_loo,
     run_setting,
 )
-from .inference import BeamConfig, GeneratedPrompt, beam_search, diverse_beam_search
+from .inference import BeamConfig, GeneratedPrompt, diverse_beam_search
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, init_params, load_checkpoint, loss_and_grads, save_checkpoint
 from .training import TrainConfig, TrainResult, mix_tasks, train
@@ -61,7 +61,6 @@ __all__ = [
     "TrainResult",
     "Vocabulary",
     "annotate_prompt",
-    "beam_search",
     "build_artifacts",
     "build_embeddings",
     "build_vocabulary",

@@ -24,6 +24,7 @@ from .corpus import (
     SyntheticSpec,
     generate_synthetic,
     ingest_jsonl,
+    line_example,
     read_records,
     write_jsonl,
 )
@@ -53,17 +54,11 @@ SYNTH_KEYS = tuple(f.name for f in fields(SyntheticSpec))
 # The feature-extraction settings `drf extract` shares with the pipeline.
 DRF_KEYS = ("rho", "k_drf", "d_emb", "window")
 
-_SCHEMA_DEFAULTS = {
-    "text_field": "text",
-    "premise_field": "premise",
-    "hypothesis_field": "hypothesis",
-    "label_field": "label",
-    "domain_field": "domain",
-    "id_field": "id",
-    "split_field": "split",
-    "labels": None,
-    "positive_class": None,
-}
+# One setting per IngestSchema field; a field-name setting is flagged
+# with a _field suffix (--text-field), the others by their own name.
+_SCHEMA_KEYS = {f.name: f"{f.name}_field" if isinstance(f.default, str) else f.name
+                for f in fields(IngestSchema)}
+_SCHEMA_DEFAULTS = {_SCHEMA_KEYS[f.name]: f.default for f in fields(IngestSchema)}
 
 
 def _parse_scalar(raw: str):
@@ -125,20 +120,10 @@ def _require(merged: dict, key: str):
 
 
 def _schema_from(merged: dict) -> IngestSchema:
-    labels = merged.get("labels")
-    if isinstance(labels, str):
-        labels = tuple(s.strip() for s in labels.split(",") if s.strip())
-    return IngestSchema(
-        text=merged["text_field"],
-        premise=merged["premise_field"],
-        hypothesis=merged["hypothesis_field"],
-        label=merged["label_field"],
-        domain=merged["domain_field"],
-        id=merged["id_field"],
-        split=merged["split_field"],
-        labels=labels,
-        positive_class=merged.get("positive_class"),
-    )
+    values = {name: merged[key] for name, key in _SCHEMA_KEYS.items()}
+    if isinstance(values["labels"], str):
+        values["labels"] = tuple(s.strip() for s in values["labels"].split(",") if s.strip())
+    return IngestSchema(**values)
 
 
 def _settings(cls, merged: dict, keys):
@@ -293,8 +278,8 @@ def _cmd_train(merged: dict) -> int:
 def _read_predict_records(path, schema: IngestSchema) -> list[Example]:
     """Examples for predict: label and domain are carried through when
     present, and an example without an id is named by its line."""
-    return [Example(id=rec.get("id", f"r{n}"), text=rec["text"],
-                    label=rec.get("label", ""), domain=rec.get("domain", ""))
+    return [line_example(n, id=rec.get("id", f"r{n}"), text=rec["text"],
+                         label=rec.get("label", ""), domain=rec.get("domain", ""))
             for n, rec in read_records(path, schema)]
 
 

@@ -95,9 +95,6 @@ class Vocabulary:
     def encode_tokens(self, tokens) -> tuple[int, ...]:
         return tuple(self.token_to_id.get(t, UNK) for t in tokens)
 
-    def decode(self, ids) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
 
 def save_vocab(path, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8") as f:
@@ -252,9 +249,10 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
     and "label", "domain", "id" and "split" when the record has them,
     all as strings. Every field must be a JSON string, except that a
     label or an id may also be an integer. A line that is not a JSON
-    object, or has no text, or a text with no tokens, or a field of
-    another type, or a domain `check_domain_name` rejects, raises a
-    ValueError naming the line.
+    object, or has no text, or a field of another type, or a domain
+    `check_domain_name` rejects, raises a ValueError naming the line.
+    A text with no tokens is rejected by `line_example`, which
+    tokenizes it.
     """
     optional = {"label": _STRING_OR_INT, "domain": _STRING, "id": _STRING_OR_INT,
                 "split": _STRING}
@@ -278,8 +276,6 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
                 text = f"{premise} {SEP_TOKEN} {hypothesis}"
             else:
                 raise ValueError(f"{where}: no {schema.text!r} or sentence-pair fields")
-            if not tokenize(text):
-                raise ValueError(f"{where}: text has no word tokens")
             fields = {"text": text}
             for key, kind in optional.items():
                 name = getattr(schema, key)
@@ -291,6 +287,15 @@ def read_records(path, schema: IngestSchema = IngestSchema()) -> list[tuple[int,
     if not records:
         raise ValueError(f"empty input: {path}")
     return records
+
+
+def line_example(n: int, **fields) -> Example:
+    """The Example of a record read from line n; a text with no tokens
+    raises a ValueError naming the line."""
+    try:
+        return Example(**fields)
+    except ValueError:  # the one check an Example makes
+        raise ValueError(f"line {n}: text has no word tokens") from None
 
 
 def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainDataset:
@@ -324,7 +329,7 @@ def ingest_jsonl(path, schema: IngestSchema = IngestSchema()) -> MultiDomainData
             domains.append(domain)
         if label not in seen_labels:
             seen_labels.append(label)
-        ex = Example(id=ex_id, text=text, label=label, domain=domain)
+        ex = line_example(n, id=ex_id, text=text, label=label, domain=domain)
         if any_split:
             split = rec.get("split", "train")
             if split not in _SPLITS:

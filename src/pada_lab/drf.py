@@ -38,9 +38,6 @@ class DomainProfile:
     drfs: tuple[DrfScore, ...]
     token_counts: dict[str, int]
 
-    def drf_tokens(self) -> list[str]:
-        return [d.token for d in self.drfs]
-
 
 @dataclass(frozen=True)
 class PromptAnnotation:
@@ -106,16 +103,13 @@ def mutual_information(dataset: MultiDomainDataset, sources, domain_j: str) -> d
     return dict(zip(tokens, mi.tolist()))
 
 
-def ratio_filter(token_counts: dict[str, Counter], domain_j: str, rho: float) -> Callable[[str], bool]:
-    """Predicate passing tokens whose raw occurrence count outside
+def ratio_filter(
+    token_counts: dict[str, Counter], domain_j: str, rho: float
+) -> tuple[Callable[[str], bool], Counter, Counter]:
+    """A predicate passing tokens whose raw occurrence count outside
     domain_j is at most rho times the count inside it (and the inside
-    count is positive). Counts are per-domain occurrence totals."""
-    return _ratio_filter(token_counts, domain_j, rho)[0]
-
-
-def _ratio_filter(token_counts, domain_j, rho):
-    """`ratio_filter`'s predicate, with the inside and outside counts it
-    reads."""
+    count is positive), with the inside and outside counts it reads.
+    Counts are per-domain occurrence totals."""
     if rho < 0:
         raise ValueError("rho must be non-negative")
     if domain_j not in token_counts:
@@ -156,7 +150,7 @@ def extract_drf_set(
     if k_drf < 1:
         raise ValueError("k_drf must be positive")
     mi = mutual_information(dataset, sources, domain_j)
-    passes, inside, outside = _ratio_filter(domain_token_counts(dataset, sources), domain_j, rho)
+    passes, inside, outside = ratio_filter(domain_token_counts(dataset, sources), domain_j, rho)
     ordered = sorted(mi, key=lambda t: (-mi[t], t))
     survivors = [t for t in ordered if passes(t)][:k_drf]
     if not survivors:

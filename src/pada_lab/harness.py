@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -55,14 +55,6 @@ from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, config_from_dict, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
-# Reference points from full-scale runs with a large pretrained
-# backbone on rumour detection: mean absolute shift 0.087 for the
-# prompt-conditioned model against 0.17 with no adaptation. Desk-scale
-# runs are not expected to reproduce these; they document the
-# direction the shift table is read in.
-FULL_SCALE_MEAN_ABS_SHIFT = {"pada": 0.087, "noda": 0.17}
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     kind: str = "binary-F1"
@@ -76,12 +68,17 @@ class MetricSpec:
 
     def score(self, y_true: Sequence[str], y_pred: Sequence[str], label_set: Sequence[str]) -> float:
         if self.kind == "binary-F1":
-            return f1_binary(y_true, y_pred, self.positive_class, label_set=label_set)
+            return f1_binary(y_true, y_pred, self.positive_class, label_set)
         return f1_macro(y_true, y_pred, label_set)
 
 
-def metric_for_dataset(dataset: MultiDomainDataset) -> MetricSpec:
-    if len(dataset.label_set) == 2 and dataset.positive_class is not None:
+def metric_for_dataset(dataset: MultiDomainDataset, task_metric: str = "auto") -> MetricSpec:
+    """`task_metric` (see `ExperimentConfig`) resolved against the run's
+    label set and positive class."""
+    if task_metric == "binary" or (
+        task_metric == "auto" and len(dataset.label_set) == 2
+        and dataset.positive_class is not None
+    ):
         return MetricSpec(kind="binary-F1", positive_class=dataset.positive_class)
     return MetricSpec(kind="macro-F1")
 
@@ -125,6 +122,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # an int for a float setting (rho = 3) is stored as the float, so
+        # configs that compare equal hash alike
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.task_metric not in ("auto", "binary", "macro"):
             raise ValueError(
                 f"unknown task metric {self.task_metric!r}; expected auto, binary or macro")
@@ -162,14 +164,6 @@ class ExperimentConfig:
             num_groups=self.num_groups,
             diversity_penalty=self.diversity_penalty,
         )
-
-    def metric(self, dataset: MultiDomainDataset) -> MetricSpec:
-        """`task_metric` resolved against the run's label set and positive class."""
-        if self.task_metric == "binary":
-            return MetricSpec(kind="binary-F1", positive_class=dataset.positive_class)
-        if self.task_metric == "macro":
-            return MetricSpec(kind="macro-F1")
-        return metric_for_dataset(dataset)
 
     def config_hash(self, label_set: Sequence[str], positive_class: str | None) -> str:
         """The one hash of what a run computes: every setting, the label
@@ -474,7 +468,7 @@ def train_variant(
             target=setting.target,
         )
         beam_cfg = cfg.beam_config()
-        metric = cfg.metric(dataset)
+        metric = metric_for_dataset(dataset, cfg.task_metric)
 
         def eval_fn_for(predict, dev):
             return lambda params: _score(
@@ -508,7 +502,7 @@ def run_setting(
         artifacts = build_artifacts(dataset, variant.domains(dataset, setting), cfg)
     trained = train_variant(dataset, setting, model, artifacts, cfg, seed, cache)
 
-    metric = cfg.metric(dataset)
+    metric = metric_for_dataset(dataset, cfg.task_metric)
     beam_cfg = cfg.beam_config()
     if variant.all_domains:
         test_examples = list(dataset.dev[setting.target])
@@ -719,7 +713,7 @@ def run_loo(
     seeds = [cfg.seed] if not seeds else list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {seeds}")
-    cfg.metric(dataset)  # a metric the dataset cannot resolve fails before anything is written
+    metric_for_dataset(dataset, cfg.task_metric)  # an unresolvable metric fails before any write
     settings = make_loo_settings(dataset)
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)

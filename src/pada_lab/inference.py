@@ -2,9 +2,10 @@
 
 Prompt decoding runs a synchronous beam search; the diverse variant
 splits the beam into groups and penalizes each group for repeating
-tokens that earlier groups emitted at the same step. Plain beam search
-is the one-group, zero-penalty case of the same engine. Final candidate
-ranking always uses the raw (unpenalized) cumulative log-probability.
+tokens that earlier groups emitted at the same step; plain beam search
+is its one-group, zero-penalty case. A search runs for at most
+`ModelConfig.max_output_len` tokens. Final candidate ranking always
+uses the raw (unpenalized) cumulative log-probability.
 Each step makes one call of the incremental decoder
 (`model.advance_decoder`) for the unfinished hypotheses of all groups;
 it keeps every row's self-attention keys and values and the encoder's
@@ -64,7 +65,6 @@ class BeamConfig:
     beam_size: int = 10
     num_groups: int = 5
     diversity_penalty: float = 1.5
-    max_len: int | None = None
 
     def __post_init__(self):
         if self.num_candidates < 1 or self.beam_size < 1 or self.num_groups < 1:
@@ -75,8 +75,6 @@ class BeamConfig:
             )
         if not 0.0 <= self.diversity_penalty < math.inf:
             raise ValueError("diversity_penalty must be finite and non-negative")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError(f"max_len must be at least 1, got {self.max_len}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def diverse_beam_search_many(
     """
     n_in = enc_states.shape[0]
     n_groups = cfg.num_groups
-    max_len = cfg.max_len if cfg.max_len is not None else model_cfg.max_output_len
+    max_len = model_cfg.max_output_len
     group_width = cfg.beam_size // n_groups
     n_tok = model_cfg.vocab_size
 
@@ -256,26 +254,6 @@ def diverse_beam_search(
     return diverse_beam_search_many(model_cfg, params, enc_states, enc_mask, cfg)[0]
 
 
-def beam_search(
-    model_cfg: ModelConfig,
-    params: dict,
-    enc_states: np.ndarray,
-    enc_mask: np.ndarray,
-    beam_size: int,
-    num_candidates: int | None = None,
-    max_len: int | None = None,
-) -> list[Hypothesis]:
-    """Plain beam search: the single-group, zero-penalty special case."""
-    cfg = BeamConfig(
-        num_candidates=num_candidates if num_candidates is not None else beam_size,
-        beam_size=beam_size,
-        num_groups=1,
-        diversity_penalty=0.0,
-        max_len=max_len,
-    )
-    return diverse_beam_search(model_cfg, params, enc_states, enc_mask, cfg)
-
-
 # --- prompt generation ------------------------------------------------------
 
 
@@ -348,17 +326,6 @@ def generate_candidates_many(
     return out
 
 
-def generate_candidates(
-    model_cfg: ModelConfig,
-    params: dict,
-    vocab: Vocabulary,
-    example: Example,
-    beam_cfg: BeamConfig | None = None,
-) -> list[GeneratedPrompt]:
-    """All decoded prompt candidates for one example, best first."""
-    return generate_candidates_many(model_cfg, params, vocab, [example], beam_cfg)[0]
-
-
 def generate_prompt(
     model_cfg: ModelConfig,
     params: dict,
@@ -367,4 +334,4 @@ def generate_prompt(
     beam_cfg: BeamConfig | None = None,
 ) -> GeneratedPrompt:
     """Best decoded prompt for one example."""
-    return generate_candidates(model_cfg, params, vocab, example, beam_cfg)[0]
+    return generate_candidates_many(model_cfg, params, vocab, [example], beam_cfg)[0][0]

@@ -34,17 +34,11 @@ def _check_labels(y_true: Sequence[str], y_pred: Sequence[str], label_set: Seque
 
 
 def f1_binary(
-    y_true: Sequence[str],
-    y_pred: Sequence[str],
-    positive: str,
-    label_set: Sequence[str] | None = None,
+    y_true: Sequence[str], y_pred: Sequence[str], positive: str, label_set: Sequence[str]
 ) -> float:
-    if label_set is not None:
-        _check_labels(y_true, y_pred, label_set)
-        if positive not in label_set:
-            raise ValueError(f"positive class {positive!r} not in declared set")
-    elif len(y_true) != len(y_pred):
-        raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
+    _check_labels(y_true, y_pred, label_set)
+    if positive not in label_set:
+        raise ValueError(f"positive class {positive!r} not in declared set")
     tp = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p == positive)
     fp = sum(1 for t, p in zip(y_true, y_pred) if t != positive and p == positive)
     fn = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p != positive)

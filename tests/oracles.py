@@ -2,8 +2,11 @@
 
 Everything here is deliberately naive: plain loops, dicts, and
 math.log2, sharing no code path with the package. Slow and obvious
-beats fast and clever for an oracle. The numpy formulas at the end are
-the in-place kernels' reference, written one fresh array per step.
+beats fast and clever for an oracle. The one exception is the decoder
+scorer for the beam oracles, which re-runs the training decoder over
+each whole prefix: it shares the model, but not the incremental decoder
+that beam search steps. The numpy formulas at the end are the in-place
+kernels' reference, written one fresh array per step.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from pada_lab.corpus import BOS
+from pada_lab.model import _decoder_fwd, _logsumexp
 
 
 def mi_bruteforce(docs_by_domain: dict[str, list[list[str]]], domain_j: str) -> dict[str, float]:
@@ -148,6 +154,20 @@ def f1_bruteforce(y_true: list[str], y_pred: list[str], positive: str) -> float:
 
 def macro_f1_bruteforce(y_true: list[str], y_pred: list[str], labels: list[str]) -> float:
     return sum(f1_bruteforce(y_true, y_pred, lab) for lab in labels) / len(labels)
+
+
+def teacher_forced_logp(cfg, params, enc, mask, prefixes) -> np.ndarray:
+    """Next-token log-probabilities after each prefix (ids after BOS),
+    one row per prefix, by the training decoder (`model._decoder_fwd`)
+    run teacher-forced over BOS + prefix, with the one input's encoder
+    states repeated per row."""
+    ids = np.array([(BOS,) + tuple(p) for p in prefixes], dtype=np.int64)
+    n = len(prefixes)
+    states = _decoder_fwd(
+        cfg, params, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
+    )
+    logits = states[:, -1] @ params["embed"].T
+    return logits - _logsumexp(logits)
 
 
 def beam_exhaustive(

@@ -26,7 +26,7 @@ from pada_lab.harness import (
     run_loo,
     summary_table,
 )
-from pada_lab.inference import generate_candidates
+from pada_lab.inference import generate_candidates_many
 from tests.conftest import BAD_RECORDS, edit_checkpoint_header
 
 TINY_MODEL_FLAGS = [
@@ -550,8 +550,8 @@ class TestTrainPredictRoundTrip:
         examples = [Example(id=f"x{i}", text=json.loads(line)["text"], label="", domain="")
                     for i, line in enumerate(data.read_text().splitlines())]
         assert len({len(ex.tokens) for ex in examples}) >= 2
-        cands = [generate_candidates(trained.model_cfg, trained.params, trained.vocab, ex,
-                                     cfg.beam_config()) for ex in examples]
+        cands = [generate_candidates_many(trained.model_cfg, trained.params, trained.vocab, [ex],
+                                          cfg.beam_config())[0] for ex in examples]
         probs = classify_many(trained.model_cfg, trained.params, trained.vocab, examples,
                               prompts=[c[0].prompt_ids for c in cands])
         assert [r["id"] for r in rows] == [ex.id for ex in examples]

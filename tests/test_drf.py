@@ -81,19 +81,19 @@ class TestRatioFilter:
         return {d: Counter(c) for d, c in kw.items()}
 
     def test_zero_outside_passes(self):
-        passes = ratio_filter(self.counts(a={"t": 2}, b={}), "a", rho=1.5)
+        passes, _, _ = ratio_filter(self.counts(a={"t": 2}, b={}), "a", rho=1.5)
         assert passes("t")
 
     def test_zero_inside_fails(self):
-        passes = ratio_filter(self.counts(a={}, b={"t": 1}), "a", rho=100.0)
+        passes, _, _ = ratio_filter(self.counts(a={}, b={"t": 1}), "a", rho=100.0)
         assert not passes("t")
 
     def test_above_bound_fails(self):
-        passes = ratio_filter(self.counts(a={"t": 2}, b={"t": 4}), "a", rho=1.5)
+        passes, _, _ = ratio_filter(self.counts(a={"t": 2}, b={"t": 4}), "a", rho=1.5)
         assert not passes("t")
 
     def test_boundary_is_inclusive(self):
-        passes = ratio_filter(self.counts(a={"t": 2}, b={"t": 3}), "a", rho=1.5)
+        passes, _, _ = ratio_filter(self.counts(a={"t": 2}, b={"t": 3}), "a", rho=1.5)
         assert passes("t")
 
     def test_scale_invariance(self, rng):
@@ -102,11 +102,17 @@ class TestRatioFilter:
             c_out = int(rng.integers(0, 20))
             scale = int(rng.integers(2, 6))
             rho = float(rng.uniform(0.5, 3.0))
-            base = ratio_filter(self.counts(a={"t": c_in}, b={"t": c_out}), "a", rho)
-            scaled = ratio_filter(
+            base, _, _ = ratio_filter(self.counts(a={"t": c_in}, b={"t": c_out}), "a", rho)
+            scaled, _, _ = ratio_filter(
                 self.counts(a={"t": c_in * scale}, b={"t": c_out * scale}), "a", rho
             )
             assert base("t") == scaled("t")
+
+    def test_returns_the_counts_it_reads(self):
+        _, inside, outside = ratio_filter(
+            self.counts(a={"t": 2}, b={"t": 3, "u": 1}, c={"t": 1}), "a", rho=1.5)
+        assert inside == {"t": 2}
+        assert outside == {"t": 4, "u": 1}
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +123,7 @@ class TestExtractDrfSet:
     def test_toy_corpus_top_feature(self):
         ds = make_dataset(TOY)
         profile = extract_drf_set(ds, ["inside", "outside"], "inside", rho=1.5, k_drf=1)
-        assert profile.drf_tokens() == ["x"]
+        assert [d.token for d in profile.drfs] == ["x"]
         assert profile.drfs[0].ratio == 0.0
 
     def test_fewer_survivors_than_k_is_fine(self):
@@ -148,7 +154,7 @@ class TestExtractDrfSet:
                     extract_drf_set(ds, domains, target, rho=1.5, k_drf=7)
                 continue
             got = extract_drf_set(ds, domains, target, rho=1.5, k_drf=7)
-            assert got.drf_tokens() == [t for t, _, _ in want]
+            assert [d.token for d in got.drfs] == [t for t, _, _ in want]
             for entry, (_, mi, ratio) in zip(got.drfs, want):
                 assert entry.mi == pytest.approx(mi, abs=1e-12)
                 assert entry.ratio == pytest.approx(ratio, abs=1e-12)
@@ -163,7 +169,7 @@ class TestExtractDrfSet:
             except ValueError:
                 continue
             counts = domain_token_counts(ds, domains)
-            passes = ratio_filter(counts, domains[0], 3.0)
+            passes, _, _ = ratio_filter(counts, domains[0], 3.0)
             assert all(passes(d.token) for d in profile.drfs)
             checked += 1
 
@@ -187,7 +193,7 @@ class TestExtractDrfSet:
         data = json.loads((tmp_path / "p.json").read_text())
         assert data["domain"] == "inside"
         assert data["rho"] == 1.5
-        assert [d["token"] for d in data["drfs"]] == profile.drf_tokens()
+        assert [d["token"] for d in data["drfs"]] == [d.token for d in profile.drfs]
         assert {"token", "mi", "ratio"} <= set(data["drfs"][0])
 
 

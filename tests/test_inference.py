@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,24 +13,13 @@ from pada_lab.inference import (
     GeneratedPrompt,
     Hypothesis,
     _extend,
-    beam_search,
     diverse_beam_search,
     diverse_beam_search_many,
-    generate_candidates,
     generate_candidates_many,
     generate_prompt,
 )
-from pada_lab.model import (
-    ModelConfig,
-    _decoder_fwd,
-    _logsumexp,
-    advance_decoder,
-    decode_step,
-    encode,
-    init_params,
-    pad_batch,
-)
-from tests.oracles import beam_exhaustive, diverse_beam_naive
+from pada_lab.model import ModelConfig, advance_decoder, encode, init_params, pad_batch
+from tests.oracles import beam_exhaustive, diverse_beam_naive, teacher_forced_logp
 
 VOCAB = Vocabulary.from_tokens(["alpha", "beta"])
 
@@ -62,12 +53,6 @@ class TestBeamConfig:
         for penalty in (-0.5, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 BeamConfig(beam_size=4, num_groups=2, diversity_penalty=penalty)
-
-    def test_max_len_positive(self):
-        for max_len in (0, -1):
-            with pytest.raises(ValueError, match="max_len"):
-                BeamConfig(max_len=max_len)
-        assert BeamConfig(max_len=1).max_len == 1
 
 
 class TestHypothesis:
@@ -185,12 +170,14 @@ class TestBeamAgainstExhaustive:
         enc, mask = encoded(cfg, params)
 
         def score_fn(prefix):
-            return decode_step(cfg, params, enc, mask, [(2,) + prefix])[0]
+            return teacher_forced_logp(cfg, params, enc, mask, [prefix])[0]
 
         want = beam_exhaustive(score_fn, cfg.vocab_size, EOS, max_len, top=4)
-        got = beam_search(
+        # plain beam search: one group, no penalty
+        got = diverse_beam_search(
             cfg, params, enc, mask,
-            beam_size=cfg.vocab_size**max_len, num_candidates=4, max_len=max_len,
+            BeamConfig(num_candidates=4, beam_size=cfg.vocab_size**max_len, num_groups=1,
+                       diversity_penalty=0.0),
         )
         assert [h.ids for h in got] == [ids for ids, _ in want]
         for h, (_, score) in zip(got, want):
@@ -205,17 +192,6 @@ class TestBeamAgainstExhaustive:
 
 
 class TestDiverseBeam:
-    def test_one_group_zero_penalty_equals_plain_beam(self):
-        cfg = small_cfg()
-        params = init_params(cfg)
-        enc, mask = encoded(cfg, params)
-        plain = beam_search(cfg, params, enc, mask, beam_size=6, num_candidates=6)
-        diverse = diverse_beam_search(
-            cfg, params, enc, mask,
-            BeamConfig(num_candidates=6, beam_size=6, num_groups=1, diversity_penalty=0.0),
-        )
-        assert plain == diverse
-
     def test_zero_penalty_many_groups_still_valid(self):
         cfg = small_cfg()
         params = init_params(cfg)
@@ -234,9 +210,8 @@ class TestDiverseBeam:
         params = init_params(cfg)
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
-            cfg, params, enc, mask,
-            BeamConfig(num_candidates=4, beam_size=4, num_groups=4,
-                       diversity_penalty=1e6, max_len=4),
+            replace(cfg, max_output_len=4), params, enc, mask,
+            BeamConfig(num_candidates=4, beam_size=4, num_groups=4, diversity_penalty=1e6),
         )
         firsts = [h.ids[0] for h in out]
         assert len(set(firsts)) == len(firsts)
@@ -246,9 +221,8 @@ class TestDiverseBeam:
         params = init_params(cfg)
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
-            cfg, params, enc, mask,
-            BeamConfig(num_candidates=8, beam_size=8, num_groups=2,
-                       diversity_penalty=0.7, max_len=3),
+            replace(cfg, max_output_len=3), params, enc, mask,
+            BeamConfig(num_candidates=8, beam_size=8, num_groups=2, diversity_penalty=0.7),
         )
         for h in out:
             assert h.ids[-1] == EOS
@@ -286,18 +260,6 @@ class TestDiverseBeam:
         )
 
 
-def full_prefix_logp(cfg, params, enc, mask, prefixes):
-    """Next-token logp re-running the training decoder over whole
-    prefixes, with the encoder states repeated per row."""
-    ids = np.array([(BOS,) + tuple(p) for p in prefixes], dtype=np.int64)
-    n = len(prefixes)
-    states = _decoder_fwd(
-        cfg, params, ids, np.ones(ids.shape), np.repeat(enc, n, axis=0), np.repeat(mask, n, axis=0)
-    )
-    logits = states[:, -1] @ params["embed"].T
-    return logits - _logsumexp(logits)
-
-
 class TestDiverseBeamAgainstNaive:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_group_by_group_search(self, seed):
@@ -314,7 +276,7 @@ class TestDiverseBeamAgainstNaive:
             num_groups=num_groups, diversity_penalty=penalty,
         )
         want = diverse_beam_naive(
-            lambda prefixes: full_prefix_logp(cfg, params, enc, mask, prefixes),
+            lambda prefixes: teacher_forced_logp(cfg, params, enc, mask, prefixes),
             cfg.vocab_size, EOS, max_len, num_groups, group_width, penalty, bc.num_candidates,
         )
         got = diverse_beam_search(cfg, params, enc, mask, bc)
@@ -344,7 +306,8 @@ class TestDiverseBeamAgainstNaive:
         assert len(got) == n_in
         for e, hyps in enumerate(got):
             want = diverse_beam_naive(
-                lambda prefixes: full_prefix_logp(cfg, params, enc[e : e + 1], mask[:1], prefixes),
+                lambda prefixes: teacher_forced_logp(
+                    cfg, params, enc[e : e + 1], mask[:1], prefixes),
                 cfg.vocab_size, EOS, max_len, num_groups, group_width, penalty, bc.num_candidates,
             )
             assert [h.ids for h in hyps] == [ids for ids, _ in want]
@@ -366,6 +329,11 @@ def batch_inputs(rng, cfg, params, n_in, length, seed):
             params[name] *= 20.0
     params["embed"][EOS] *= 3.0
     return rng.normal(scale=3.0, size=(n_in, length, cfg.d_model)), mask
+
+
+def candidates_one_at_a_time(cfg, params, exs, bc=None):
+    """Each example's candidates from a search of that example alone."""
+    return [generate_candidates_many(cfg, params, VOCAB, [ex], bc)[0] for ex in exs]
 
 
 def bits(hyps):
@@ -401,7 +369,7 @@ class TestBatchedSearchIsExact:
                         diversity_penalty=(0.0, 1.5)[seed % 2])
         exs = random_examples(rng, int(rng.integers(1, 9)), 8)
         got = generate_candidates_many(cfg, params, VOCAB, exs, bc)
-        want = [generate_candidates(cfg, params, VOCAB, ex, bc) for ex in exs]
+        want = candidates_one_at_a_time(cfg, params, exs, bc)
         assert got == want
         assert [[c.score.hex() for c in cands] for cands in got] == [
             [c.score.hex() for c in cands] for cands in want]
@@ -414,7 +382,7 @@ class TestBatchedSearchIsExact:
         lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
         assert len(lengths) >= 2
         got = generate_candidates_many(cfg, params, VOCAB, exs)
-        assert got == [generate_candidates(cfg, params, VOCAB, ex) for ex in exs]
+        assert got == candidates_one_at_a_time(cfg, params, exs)
 
     def test_bucket_larger_than_one_search(self, monkeypatch):
         # A bucket of more than SEARCH_EXAMPLES examples is decoded in
@@ -435,7 +403,7 @@ class TestBatchedSearchIsExact:
         assert sum(sizes) == len(exs) and max(sizes) == SEARCH_EXAMPLES
         lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
         assert len(sizes) > len(lengths)  # some bucket spans several searches
-        want = [generate_candidates(cfg, params, VOCAB, ex, bc) for ex in exs]
+        want = candidates_one_at_a_time(cfg, params, exs, bc)
         assert got == want
         assert [[c.score.hex() for c in cands] for cands in got] == [
             [c.score.hex() for c in cands] for cands in want]
@@ -548,7 +516,7 @@ class TestSettledInputsStop:
         got = diverse_beam_search(cfg, params, enc, mask, bc)
         assert len(calls) < cfg.max_output_len
         want = diverse_beam_naive(
-            lambda prefixes: full_prefix_logp(cfg, params, enc, mask, prefixes),
+            lambda prefixes: teacher_forced_logp(cfg, params, enc, mask, prefixes),
             cfg.vocab_size, EOS, cfg.max_output_len, 2, 2, 0.5, 2,
         )
         assert [h.ids for h in got] == [ids for ids, _ in want]
@@ -639,7 +607,7 @@ class TestGenerateAndPredict:
         self.ex = Example(id="e0", text="alpha beta", label="pos", domain="d")
 
     def test_candidate_list_shape(self):
-        cands = generate_candidates(self.cfg, self.params, VOCAB, self.ex)
+        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex])
         assert len(cands) == BeamConfig().num_candidates
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
@@ -648,14 +616,15 @@ class TestGenerateAndPredict:
             assert c.tokens == tuple(VOCAB.id_to_token[i] for i in c.ids[:-1])
 
     def test_generate_prompt_is_the_best_candidate(self):
-        cands = generate_candidates(self.cfg, self.params, VOCAB, self.ex)
+        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex])
         assert generate_prompt(self.cfg, self.params, VOCAB, self.ex) == cands[0]
 
     def test_bare_eos_best_candidate_falls_back(self):
         # Force the degenerate decode with a one-token horizon: the only
         # possible hypothesis is bare EOS.
-        bc = BeamConfig(num_candidates=1, beam_size=1, num_groups=1, max_len=1)
-        cands = generate_candidates(self.cfg, self.params, VOCAB, self.ex, bc)
+        bc = BeamConfig(num_candidates=1, beam_size=1, num_groups=1)
+        [cands] = generate_candidates_many(
+            replace(self.cfg, max_output_len=1), self.params, VOCAB, [self.ex], bc)
         assert cands[0].used_fallback
         assert cands[0].ids == (UNK, EOS)
         assert cands[0].prompt_ids == (UNK,)

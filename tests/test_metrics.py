@@ -13,20 +13,20 @@ class TestBinaryF1:
         # tp=1 fp=1 fn=1: precision 0.5, recall 0.5, F1 0.5.
         y_true = ["pos", "neg", "pos"]
         y_pred = ["pos", "pos", "neg"]
-        assert f1_binary(y_true, y_pred, "pos") == pytest.approx(0.5)
+        assert f1_binary(y_true, y_pred, "pos", ("neg", "pos")) == pytest.approx(0.5)
 
     def test_perfect_predictions(self):
-        assert f1_binary(["pos", "neg"], ["pos", "neg"], "pos") == 1.0
+        assert f1_binary(["pos", "neg"], ["pos", "neg"], "pos", ("neg", "pos")) == 1.0
 
     def test_never_predicting_positive_scores_zero(self):
-        assert f1_binary(["pos", "pos"], ["neg", "neg"], "pos") == 0.0
+        assert f1_binary(["pos", "pos"], ["neg", "neg"], "pos", ("neg", "pos")) == 0.0
 
     def test_no_positives_anywhere_scores_zero(self):
-        assert f1_binary(["neg", "neg"], ["neg", "neg"], "pos") == 0.0
+        assert f1_binary(["neg", "neg"], ["neg", "neg"], "pos", ("neg", "pos")) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            f1_binary(["pos"], ["pos", "neg"], "pos")
+            f1_binary(["pos"], ["pos", "neg"], "pos", ("neg", "pos"))
 
     def test_declared_set_catches_stray_labels(self):
         with pytest.raises(ValueError, match="stray|outside"):
@@ -51,7 +51,7 @@ class TestBinaryF1:
         y_true = [t for t, _ in pairs]
         y_pred = [p for _, p in pairs]
         want = f1_bruteforce(y_true, y_pred, "pos")
-        assert f1_binary(y_true, y_pred, "pos") == pytest.approx(want, abs=1e-12)
+        assert f1_binary(y_true, y_pred, "pos", ("neg", "pos")) == pytest.approx(want, abs=1e-12)
 
 
 class TestMacroF1:

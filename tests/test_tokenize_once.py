@@ -3,11 +3,12 @@ stage reads `Example.tokens`, so no other module calls `tokenize` and a
 leave-one-out grid tokenizes nothing after its dataset exists."""
 
 import ast
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from pada_lab import corpus
+from pada_lab import cli, corpus
 from pada_lab.harness import ExperimentConfig, run_loo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pada_lab"
@@ -42,3 +43,23 @@ def test_loo_grid_tokenizes_nothing_after_the_dataset_is_built(tmp_path, monkeyp
     cfg = replace(ExperimentConfig(), epochs=2, seed=7)
     run_loo(dataset, ["noda", "moe", "pada-dn"], cfg, tmp_path)
     assert calls == []
+
+
+def test_reading_a_record_tokenizes_its_text_once(tmp_path, monkeypatch):
+    # the reader leaves the no-token check to the Example it builds
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"r{i}", "text": f"word{i} and more", "label": "pos", "domain": "d"})
+        + "\n" for i in range(10)))
+    real, calls = corpus.tokenize, []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(corpus, "tokenize", counting)
+    corpus.ingest_jsonl(path)
+    assert len(calls) == 10
+    calls.clear()
+    cli._read_predict_records(path, corpus.IngestSchema())
+    assert len(calls) == 10
