@@ -115,10 +115,11 @@ def train_experts(
 def moe_predict_many(
     ensemble: ExpertEnsemble, vocab: Vocabulary, examples: Sequence[Example]
 ) -> np.ndarray:
-    """Arithmetic mean of the experts' probability vectors."""
+    """Arithmetic mean of the experts' probability vectors, taken in name
+    order so the bits do not depend on the order the experts arrive in."""
     per_expert = [
         classify_many(ensemble.model_cfg, ensemble.params_by_domain[d], vocab, examples)
-        for d in ensemble.domains
+        for d in sorted(ensemble.domains)
     ]
     shapes = {p.shape for p in per_expert}
     if len(shapes) != 1:

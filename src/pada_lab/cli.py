@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
-from dataclasses import asdict, fields
+import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .corpus import (
@@ -29,10 +31,12 @@ from .corpus import (
     write_jsonl,
 )
 from .harness import (
+    DEFAULT_ALPHA_GRID,
     MODEL_NAMES,
     VARIANTS,
     ExperimentConfig,
     build_artifacts,
+    grid_search_alpha,
     load_model_dir,
     pada_candidates_many,
     read_run_cells,
@@ -148,14 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prompt-conditioned multi-source domain adaptation at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    defaults: dict[str, dict] = {}
     experiment_defaults = asdict(ExperimentConfig())
 
-    def command(name, keys_with_defaults, parent=sub, **kwargs):
-        """Subcommand `name` (its last word under `parent`) with one
+    def command(name, body, keys_with_defaults, parent=sub, **kwargs):
+        """Subcommand `name` under `parent` that runs `body`, with one
         flag per key, typed by its default."""
-        p = parent.add_parser(name.split()[-1], **kwargs)
+        p = parent.add_parser(name, **kwargs)
         p.add_argument("--config", default=None, help="key = value config file")
         merged_defaults = {}
         for block in keys_with_defaults:
@@ -163,19 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
         for key, value in merged_defaults.items():
             kind = int if isinstance(value, int) else float if isinstance(value, float) else str
             p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, dest=key)
-        defaults[name] = merged_defaults
-        return p
+        p.set_defaults(_body=body, _defaults=merged_defaults)
 
-    synth_defaults = asdict(SyntheticSpec())
     command(
-        "gen-data",
-        [synth_defaults, {"out": None}],
+        "gen-data", _cmd_gen_data,
+        [asdict(SyntheticSpec()), {"out": None}],
         help="write a synthetic multi-domain JSONL corpus",
     )
 
     drf = sub.add_parser("drf", help="domain-feature operations")
     command(
-        "drf extract",
+        "extract", _cmd_drf_extract,
         [{"data": None, "out": None, "domains": None},
          {k: experiment_defaults[k] for k in DRF_KEYS}, _SCHEMA_DEFAULTS],
         parent=drf.add_subparsers(dest="drf_command", required=True),
@@ -183,29 +183,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     command(
-        "train",
+        "train", _cmd_train,
         [experiment_defaults, _SCHEMA_DEFAULTS,
          {"data": None, "out": None, "model": "pada", "target": None}],
         help="train one model variant for one held-out target",
     )
     command(
-        "predict",
+        "predict", _cmd_predict,
         [_SCHEMA_DEFAULTS, {"data": None, "out": None, "model_dir": None}],
         help="run a trained model directory over JSONL examples",
     )
     command(
-        "run-loo",
+        "run-loo", _cmd_run_loo,
         [experiment_defaults, _SCHEMA_DEFAULTS,
          {"data": None, "out": None, "models": "pada,noda", "seeds": None}],
         help="full leave-one-out grid with reports, CSV, and heatmap",
     )
     command(
-        "report",
+        "tune-alpha", _cmd_tune_alpha,
+        [{k: v for k, v in experiment_defaults.items() if k != "alpha"}, _SCHEMA_DEFAULTS,
+         {"data": None, "out": None, "grid": ",".join(map(str, DEFAULT_ALPHA_GRID))}],
+        help="pick the task-mixture share alpha by pooled dev F1",
+    )
+    command(
+        "report", _cmd_report,
         [{"run_dir": None, "out": None}],
         help="rebuild the aggregate CSV and heatmap from cell reports",
     )
-
-    parser.set_defaults(_defaults_by_command=defaults)
     return parser
 
 
@@ -266,7 +270,7 @@ def _cmd_train(merged: dict) -> int:
     sources = tuple(d for d in dataset.domains if d != target)
     setting = LeaveOneOutSetting(target=target, sources=sources)
     artifacts = build_artifacts(dataset, VARIANTS[model].domains(dataset, setting), cfg)
-    trained = train_variant(dataset, setting, model, artifacts, cfg, cfg.seed, cache={})
+    trained = train_variant(dataset, setting, model, artifacts, cfg, cfg.seed)
     save_model_dir(out, trained, cfg, artifacts=artifacts)
     print(f"trained {model} (target {target}) -> {out}")
     for rec in trained.logs:
@@ -336,10 +340,36 @@ def _cmd_run_loo(merged: dict) -> int:
             raise UsageError(f"--seeds must be comma-separated integers, got {merged['seeds']!r}")
     cfg = _settings(ExperimentConfig, merged, EXPERIMENT_KEYS)
     dataset = ingest_jsonl(data, _schema_from(merged))
+    t0 = time.perf_counter()
     cells = run_loo(dataset, models, cfg, out, seeds=seeds)
+    wall = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(summary_table(cells))
-    print(f"reports -> {out}")
+    print(f"{wall:.1f}s wall, {peak_mb:.1f} MB peak RSS; reports -> {out}")
     _print_hash(cfg, dataset)
+    return 0
+
+
+def _cmd_tune_alpha(merged: dict) -> int:
+    data = _require(merged, "data")
+    cfg = _settings(ExperimentConfig, merged, [k for k in EXPERIMENT_KEYS if k != "alpha"])
+    grid = str(merged["grid"])
+    try:
+        values = [replace(cfg, alpha=float(v)).alpha for v in grid.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--grid must be comma-separated alphas in [0, 1], got {grid!r}")
+    if not values:
+        raise UsageError("empty --grid")
+    best, scores = grid_search_alpha(ingest_jsonl(data, _schema_from(merged)), values, cfg)
+    for alpha in sorted(scores):
+        marker = "  <- best" if alpha == best else ""
+        print(f"alpha {alpha:.2f}: pooled dev F1 {scores[alpha]:.4f}{marker}")
+    if merged.get("out"):
+        out = Path(merged["out"])
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", encoding="utf-8") as f:
+            json.dump({"best": best, "scores": scores}, f, indent=1, sort_keys=True)
+            f.write("\n")
     return 0
 
 
@@ -351,25 +381,10 @@ def _cmd_report(merged: dict) -> int:
     return 0
 
 
-_BODIES = {
-    "gen-data": _cmd_gen_data,
-    "drf extract": _cmd_drf_extract,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "run-loo": _cmd_run_loo,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    if command == "drf":
-        command = f"drf {args.drf_command}"
-    defaults = args._defaults_by_command[command]
+    args = build_parser().parse_args(argv)
     try:
-        return _BODIES[command](merge_config(defaults, args))
+        return args._body(merge_config(args._defaults, args))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

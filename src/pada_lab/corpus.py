@@ -103,14 +103,9 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 
 def load_vocab(path) -> Vocabulary:
     """Inverse of save_vocab; a malformed file raises ValueError naming it."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not a JSON vocabulary ({e})") from e
-    tokens = data.get("tokens") if isinstance(data, dict) else None
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ValueError(f"{path}: expected an object whose 'tokens' is a list of strings")
+    tokens = json_entry(path, read_json_object(path, "vocabulary"), "tokens",
+                        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+                        "a list of strings")
     try:
         return Vocabulary.from_tokens(tokens)
     except ValueError as e:  # a duplicate or a special token
@@ -214,6 +209,18 @@ class IngestSchema:
     split: str = "split"
     labels: tuple[str, ...] | None = None
     positive_class: str | None = None
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in `path`; anything else is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON {what} ({e})") from e
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def json_entry(where, obj: dict, key: str, ok, what: str):

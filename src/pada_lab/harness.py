@@ -31,6 +31,7 @@ from .baselines import (
     train_experts,
 )
 from .corpus import (
+    SPECIAL_TOKENS,
     Example,
     LeaveOneOutSetting,
     MultiDomainDataset,
@@ -39,6 +40,7 @@ from .corpus import (
     json_entry,
     load_vocab,
     make_loo_settings,
+    read_json_object,
     save_vocab,
 )
 from .drf import (
@@ -130,6 +132,10 @@ class ExperimentConfig:
         if self.task_metric not in ("auto", "binary", "macro"):
             raise ValueError(
                 f"unknown task metric {self.task_metric!r}; expected auto, binary or macro")
+        # out-of-range settings fail here, through the stage configs' own checks
+        self.train_config()
+        self.beam_config()
+        self.model_config(len(SPECIAL_TOKENS), 2)
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
         return ModelConfig(
@@ -835,18 +841,6 @@ def save_model_dir(
         for d, profile in artifacts.profiles.items():
             save_profile(profiles / f"{d}.json", profile, rho=cfg.rho)
         artifacts.embeddings.write_text(profiles / "embeddings.txt")
-
-
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in `path`; anything else is a ValueError naming it."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not a JSON {what} ({e})") from e
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
 
 
 def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -125,16 +127,14 @@ class TestEnsemble:
         assert argmax_class(got[1]) == 0
 
     def test_expert_order_does_not_matter(self):
+        # three experts, so a mean in another order would round differently
         cfg = tiny_model()
-        p1, p2 = init_params(tiny_model(seed=1)), init_params(tiny_model(seed=2))
-        exs = examples("d", 4)
-        fwd = moe_predict_many(
-            ExpertEnsemble(cfg, ("a", "b"), {"a": p1, "b": p2}), VOCAB, exs
-        )
-        rev = moe_predict_many(
-            ExpertEnsemble(cfg, ("b", "a"), {"a": p1, "b": p2}), VOCAB, exs
-        )
-        assert np.allclose(fwd, rev, atol=1e-12)
+        params = {d: init_params(tiny_model(seed=s)) for s, d in enumerate("abc", start=3)}
+        exs = examples("d", 8)
+        fwd = moe_predict_many(ExpertEnsemble(cfg, ("a", "b", "c"), params), VOCAB, exs)
+        for order in itertools.permutations("abc"):
+            assert np.array_equal(
+                moe_predict_many(ExpertEnsemble(cfg, order, params), VOCAB, exs), fwd), order
 
     def test_single_expert_is_identity(self):
         cfg = tiny_model()

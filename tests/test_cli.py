@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,11 @@ from pada_lab.cli import (
     read_config_file,
 )
 from pada_lab.baselines import classify_many
-from pada_lab.corpus import Example, ingest_jsonl
+from pada_lab.corpus import Example, generate_synthetic, ingest_jsonl
 from pada_lab.harness import (
     ExperimentConfig,
     build_artifacts,
+    grid_search_alpha,
     load_model_dir,
     read_run_cells,
     run_loo,
@@ -37,6 +39,15 @@ TINY_MODEL_FLAGS = [
     "--beam-size", "2", "--num-groups", "2", "--max-input-len", "48",
     "--max-output-len", "8",
 ]
+
+
+def tiny_config() -> ExperimentConfig:
+    """The ExperimentConfig that TINY_MODEL_FLAGS set."""
+    values = {}
+    for flag, value in zip(TINY_MODEL_FLAGS[::2], TINY_MODEL_FLAGS[1::2]):
+        key = flag[2:].replace("-", "_")
+        values[key] = type(getattr(ExperimentConfig, key))(value)
+    return ExperimentConfig(**values)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +108,7 @@ class TestConfigFile:
         args = parser.parse_args(
             ["run-loo", "--config", str(path), "--lr", "1e-2", "--data", "d", "--out", "o"]
         )
-        merged = merge_config(args._defaults_by_command["run-loo"], args)
+        merged = merge_config(args._defaults, args)
         assert merged["epochs"] == 9  # file beats default
         assert merged["lr"] == 1e-2  # flag beats file
         assert merged["alpha"] == 0.5  # untouched default
@@ -108,7 +119,7 @@ class TestConfigFile:
         parser = build_parser()
         args = parser.parse_args(["run-loo", "--config", str(path)])
         with pytest.raises(UsageError, match="learning_rate"):
-            merge_config(args._defaults_by_command["run-loo"], args)
+            merge_config(args._defaults, args)
 
     def test_unknown_key_exits_2(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -189,11 +200,7 @@ class TestConfigHash:
 
     def test_cli_and_library_run_loo_record_one_hash(self, data_path, loo_dir, tmp_path):
         # loo_dir is `run-loo --models noda` with TINY_MODEL_FLAGS
-        values = {}
-        for flag, value in zip(TINY_MODEL_FLAGS[::2], TINY_MODEL_FLAGS[1::2]):
-            key = flag[2:].replace("-", "_")
-            values[key] = type(getattr(ExperimentConfig, key))(value)
-        cfg = ExperimentConfig(**values)
+        cfg = tiny_config()
         dataset = ingest_jsonl(data_path)
         run_loo(dataset, ["noda"], cfg, tmp_path / "lib")
         cli_cells = read_run_cells(loo_dir)
@@ -262,6 +269,21 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("usage error: unknown models ['fancy']")
         assert not (tmp_path / "loo").exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        (["--epochs", "0"], "epochs and batch_size must be positive"),
+        (["--beam-size", "7"], "beam_size 7 is not divisible by num_groups 5"),
+        (["--n-heads", "5"], "d_model must be divisible by n_heads"),
+    ])
+    def test_out_of_range_setting_is_2_before_writing(self, data_path, tmp_path, capsys,
+                                                      flag, message):
+        out = tmp_path / "loo"
+        rc = main(["run-loo", "--data", str(data_path), "--out", str(out), "--models", "noda",
+                   *flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
 
 
 class TestGenData:
@@ -606,7 +628,8 @@ class TestRunLooAndReport:
         printed = capsys.readouterr().out
         assert "mean_f1" in printed
         assert "noda" in printed
-        assert "config hash:" in printed
+        assert re.search(rf"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports -> {re.escape(str(out))}\n"
+                         r"config hash: [0-9a-f]{64}\n$", printed)
 
     def test_identical_argv_reproduces_bytes(self, loo_dir, data_path, tmp_path):
         out = tmp_path / "again"
@@ -693,20 +716,78 @@ class TestRunLooAndReport:
                    "--models", "noda", "--seeds", "zero"])
         assert rc == 2
 
-    def test_desk_script_prints_the_summary_table(self, data_path, tmp_path, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
-        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+    def test_desk_script_prints_the_summary_table(self, desk_script, data_path, tmp_path,
+                                                  capsys):
         out = tmp_path / "desk"
-        assert script.main(["--data", str(data_path), "--out", str(out),
-                            "--models", "noda", "--epochs", "1"]) == 0
+        assert desk_script.main(["--data", str(data_path), "--out", str(out),
+                                 "--models", "noda", "--epochs", "1"]) == 0
         printed = capsys.readouterr().out
         cells = read_run_cells(out)
         assert summary_table(cells) in printed
-        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports in .*\n"
+        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports -> .*\n"
                          r"config hash: [0-9a-f]{64}\n", printed)
         assert {c["config_hash"] for c in cells.values()} == {printed_hash(printed)}
+        assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def desk_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestDeskScript:
+    """scripts/run_desk_experiment.py is `gen-data` then `run-loo`."""
+
+    def test_default_corpus_run_equals_the_library_run(self, desk_script, tmp_path, capsys):
+        # the corpus goes through JSONL, which does not carry the positive class
+        out = tmp_path / "desk"
+        assert desk_script.main(["--out", str(out), "--models", "noda", "--epochs", "1"]) == 0
+        assert (out / "corpus.jsonl").exists()
+        dataset = generate_synthetic()
+        cfg = replace(ExperimentConfig(), epochs=1)
+        run_loo(dataset, ["noda"], cfg, tmp_path / "lib")
+        assert (out / "aggregate.csv").read_bytes() == (
+            tmp_path / "lib" / "aggregate.csv").read_bytes()
+        want = cfg.config_hash(dataset.label_set, dataset.positive_class)
+        assert printed_hash(capsys.readouterr().out) == want
+        assert {c["config_hash"] for c in read_run_cells(out).values()} == {want}
+
+    @pytest.mark.parametrize("flag", [["--models", "foo"], ["--seeds", "1,x"]])
+    def test_bad_flags_are_usage_errors(self, desk_script, tmp_path, capsys, flag):
+        out = tmp_path / "desk"
+        assert desk_script.main(["--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (out / "cells").exists()
+
+
+class TestTuneAlpha:
+    def test_prints_and_writes_the_grid_search(self, data_path, tmp_path, capsys):
+        out = tmp_path / "tune" / "alpha.json"
+        assert main(["tune-alpha", "--data", str(data_path), "--grid", "0.25,0.75",
+                     "--out", str(out), *TINY_MODEL_FLAGS]) == 0
+        best, scores = grid_search_alpha(ingest_jsonl(data_path), [0.25, 0.75], tiny_config())
+        assert capsys.readouterr().out == "".join(
+            f"alpha {a:.2f}: pooled dev F1 {scores[a]:.4f}{'  <- best' if a == best else ''}\n"
+            for a in sorted(scores))
+        assert json.loads(out.read_text()) == {
+            "best": best, "scores": {str(a): f1 for a, f1 in scores.items()}}
+
+    @pytest.mark.parametrize("grid", ["0.5,abc", ",", "1.5"])
+    def test_bad_grid_is_2(self, data_path, tmp_path, capsys, grid):
+        out = tmp_path / "alpha.json"
+        assert main(["tune-alpha", "--data", str(data_path), "--grid", grid,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_alpha_is_not_a_setting(self, data_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune-alpha", "--data", str(data_path), "--alpha", "0.5"])
+        assert exc.value.code == 2
 
 
 # Strings keep to a small alphabet, with "." and "/" so that a drawn

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pada_lab import training
+from pada_lab.baselines import moe_predict_many
 from pada_lab.corpus import Example, LeaveOneOutSetting, MultiDomainDataset
 from pada_lab.harness import (
     MODEL_NAMES,
@@ -30,7 +31,7 @@ from pada_lab.metrics import f1_binary
 from pada_lab.model import config_from_dict, init_params, save_checkpoint
 from tests.conftest import make_dataset
 
-DOMAIN_WORDS = {"rivers": "delta", "forests": "canopy", "plains": "prairie"}
+DOMAIN_WORDS = {"rivers": "delta", "forests": "canopy", "plains": "prairie", "meadows": "clover"}
 
 
 def small_dataset(domains=("rivers", "forests", "plains"), n=6):
@@ -152,9 +153,13 @@ class TestConfigHash:
     def test_value_sensitive(self):
         cfg = small_cfg()
         base = cfg.config_hash(self.LABELS, "pos")
+        # + 1 would take these out of range at small_cfg's values
+        in_range = {"d_model": 16, "n_heads": 4, "conv_width": 5, "beam_size": 4,
+                    "num_groups": 1, "alpha": 0.5, "warmup_ratio": 0.2}
         for f in fields(ExperimentConfig):
             value = getattr(cfg, f.name)
-            changed = replace(cfg, **{f.name: "macro" if isinstance(value, str) else value + 1})
+            changed = replace(cfg, **{f.name: in_range.get(
+                f.name, "macro" if isinstance(value, str) else value + 1)})
             assert changed.config_hash(self.LABELS, "pos") != base, f.name
 
     def test_label_set_and_positive_class_are_settings(self):
@@ -533,6 +538,20 @@ class TestModelDirs:
         for d in loaded.ensemble.domains:
             assert_same_params(loaded.ensemble.params_by_domain[d],
                                trained.ensemble.params_by_domain[d])
+
+    def test_expert_ensemble_predicts_the_same_bits_after_a_round_trip(self, tmp_path):
+        # the manifest keeps the sources' order, which is not name order
+        ds = small_dataset(domains=("meadows", "rivers", "forests", "plains"))
+        cfg = small_cfg()
+        setting = LeaveOneOutSetting(target="meadows", sources=("rivers", "forests", "plains"))
+        trained = train_variant(
+            ds, setting, "moe", build_artifacts(ds, setting.sources, cfg), cfg, 0)
+        save_model_dir(tmp_path, trained, cfg)
+        loaded, _ = load_model_dir(tmp_path)
+        assert loaded.ensemble.domains == setting.sources != trained.ensemble.domains
+        examples = ds.dev["meadows"] + ds.dev["rivers"]
+        assert np.array_equal(moe_predict_many(loaded.ensemble, loaded.vocab, examples),
+                              moe_predict_many(trained.ensemble, trained.vocab, examples))
 
     @pytest.mark.parametrize("damage,message", [
         ("vocab", r"vocab\.json: \d+ tokens, .*experts/forests\.bin has vocab_size"),
