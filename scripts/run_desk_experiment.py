@@ -4,6 +4,7 @@
 Writes the default synthetic corpus to <out>/corpus.jsonl, unless --data
 names a JSONL corpus, and runs the leave-one-out grid on it with the
 standard model lineup. Every other argument goes to `run-loo` unchanged.
+A usage error from `run-loo` (exit 2) leaves no corpus behind.
 """
 
 from __future__ import annotations
@@ -25,16 +26,23 @@ def main(argv=None) -> int:
                     help="sets both the corpus seed and the training seed")
     args, rest = ap.parse_known_args(argv)
     seed = [] if args.seed is None else ["--seed", args.seed]
+    out = Path(args.out)
     data = args.data
     if data is None:
-        data = str(Path(args.out) / "corpus.jsonl")
+        fresh = not out.exists()
+        data = str(out / "corpus.jsonl")
         rc = cli.main(["gen-data", "--out", data, *seed])
         if rc:
             return rc
         # JSONL does not carry the positive class; the synthetic corpus's is "pos"
         rest = ["--positive-class", "pos", *rest]
-    return cli.main(["run-loo", "--data", data, "--out", args.out, "--models", args.models,
-                     *seed, *rest])
+    rc = cli.main(["run-loo", "--data", data, "--out", args.out, "--models", args.models,
+                   *seed, *rest])
+    if rc == 2 and args.data is None:  # a usage error writes nothing, so take back the corpus
+        Path(data).unlink()
+        if fresh:
+            out.rmdir()
+    return rc
 
 
 if __name__ == "__main__":

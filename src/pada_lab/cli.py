@@ -139,8 +139,10 @@ def _settings(cls, merged: dict, keys):
         raise UsageError(str(e)) from e
 
 
-def _print_hash(cfg: ExperimentConfig, dataset) -> None:
-    print(f"config hash: {cfg.config_hash(dataset.label_set, dataset.positive_class)}")
+def _print_hash(cfg: ExperimentConfig, dataset) -> str:
+    config_hash = cfg.config_hash(dataset.label_set, dataset.positive_class)
+    print(f"config hash: {config_hash}")
+    return config_hash
 
 
 # --- flag registration ------------------------------------------------------
@@ -343,9 +345,11 @@ def _cmd_run_loo(merged: dict) -> int:
     t0 = time.perf_counter()
     cells = run_loo(dataset, models, cfg, out, seeds=seeds)
     wall = time.perf_counter() - t0
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
     print(summary_table(cells))
-    print(f"{wall:.1f}s wall, {peak_mb:.1f} MB peak RSS; reports -> {out}")
+    print(f"{wall:.1f}s wall, {peak_mb:.1f} MB peak RSS, {usage.ru_minflt} minor page faults; "
+          f"reports -> {out}")
     _print_hash(cfg, dataset)
     return 0
 
@@ -360,15 +364,18 @@ def _cmd_tune_alpha(merged: dict) -> int:
         raise UsageError(f"--grid must be comma-separated alphas in [0, 1], got {grid!r}")
     if not values:
         raise UsageError("empty --grid")
-    best, scores = grid_search_alpha(ingest_jsonl(data, _schema_from(merged)), values, cfg)
+    dataset = ingest_jsonl(data, _schema_from(merged))
+    best, scores = grid_search_alpha(dataset, values, cfg)
     for alpha in sorted(scores):
         marker = "  <- best" if alpha == best else ""
         print(f"alpha {alpha:.2f}: pooled dev F1 {scores[alpha]:.4f}{marker}")
+    best_hash = _print_hash(replace(cfg, alpha=best), dataset)  # the winning model's settings
     if merged.get("out"):
         out = Path(merged["out"])
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as f:
-            json.dump({"best": best, "scores": scores}, f, indent=1, sort_keys=True)
+            json.dump({"best": best, "config_hash": best_hash, "scores": scores}, f,
+                      indent=1, sort_keys=True)
             f.write("\n")
     return 0
 

@@ -287,6 +287,23 @@ def adam_step(
 
 # --- the loop ---------------------------------------------------------------
 
+_M_TOP_PAD = -2  # glibc's mallopt parameter number
+
+
+def _keep_heap_mapped() -> None:
+    """Keep 64 MiB of freed heap mapped at its top. A step's backward pass
+    frees the forward caches; without this glibc hands that memory back
+    and the next step faults it in again on fresh zeroed pages. Where
+    memory comes from changes no result. A no-op without glibc's mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, 64 << 20)
+
 
 @dataclass
 class TrainResult:
@@ -316,6 +333,7 @@ def train(
     """
     if not pairs:
         raise ValueError("no training examples")
+    _keep_heap_mapped()
     rng = np.random.default_rng(train_cfg.seed)
     epochs = [
         mix_tasks(

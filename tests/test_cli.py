@@ -628,7 +628,8 @@ class TestRunLooAndReport:
         printed = capsys.readouterr().out
         assert "mean_f1" in printed
         assert "noda" in printed
-        assert re.search(rf"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports -> {re.escape(str(out))}\n"
+        assert re.search(rf"\n[0-9.]+s wall, [0-9.]+ MB peak RSS, [0-9]+ minor page faults; "
+                         rf"reports -> {re.escape(str(out))}\n"
                          r"config hash: [0-9a-f]{64}\n$", printed)
 
     def test_identical_argv_reproduces_bytes(self, loo_dir, data_path, tmp_path):
@@ -724,7 +725,8 @@ class TestRunLooAndReport:
         printed = capsys.readouterr().out
         cells = read_run_cells(out)
         assert summary_table(cells) in printed
-        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS; reports -> .*\n"
+        assert re.search(r"\n[0-9.]+s wall, [0-9.]+ MB peak RSS, [0-9]+ minor page faults; "
+                         r"reports -> .*\n"
                          r"config hash: [0-9a-f]{64}\n", printed)
         assert {c["config_hash"] for c in cells.values()} == {printed_hash(printed)}
         assert not (out / "corpus.jsonl").exists()
@@ -756,12 +758,24 @@ class TestDeskScript:
         assert printed_hash(capsys.readouterr().out) == want
         assert {c["config_hash"] for c in read_run_cells(out).values()} == {want}
 
-    @pytest.mark.parametrize("flag", [["--models", "foo"], ["--seeds", "1,x"]])
+    @pytest.mark.parametrize("flag", [["--models", "foo"], ["--seeds", "1,x"], ["--epochs", "0"]])
     def test_bad_flags_are_usage_errors(self, desk_script, tmp_path, capsys, flag):
         out = tmp_path / "desk"
         assert desk_script.main(["--out", str(out), *flag]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (out / "cells").exists()
+        assert not (out / "corpus.jsonl").exists()
+        assert not out.exists()
+
+    def test_usage_error_keeps_a_given_corpus_and_an_existing_out(self, desk_script, data_path,
+                                                                   tmp_path, capsys):
+        out = tmp_path / "desk"
+        out.mkdir()
+        assert desk_script.main(["--data", str(data_path), "--out", str(out),
+                                 "--models", "foo"]) == 2
+        assert data_path.exists()
+        assert desk_script.main(["--out", str(out), "--models", "foo"]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
 
 class TestTuneAlpha:
@@ -769,12 +783,17 @@ class TestTuneAlpha:
         out = tmp_path / "tune" / "alpha.json"
         assert main(["tune-alpha", "--data", str(data_path), "--grid", "0.25,0.75",
                      "--out", str(out), *TINY_MODEL_FLAGS]) == 0
-        best, scores = grid_search_alpha(ingest_jsonl(data_path), [0.25, 0.75], tiny_config())
+        dataset = ingest_jsonl(data_path)
+        best, scores = grid_search_alpha(dataset, [0.25, 0.75], tiny_config())
+        # the hash names the winning model's settings, alpha included
+        want_hash = replace(tiny_config(), alpha=best).config_hash(
+            dataset.label_set, dataset.positive_class)
         assert capsys.readouterr().out == "".join(
             f"alpha {a:.2f}: pooled dev F1 {scores[a]:.4f}{'  <- best' if a == best else ''}\n"
-            for a in sorted(scores))
+            for a in sorted(scores)) + f"config hash: {want_hash}\n"
         assert json.loads(out.read_text()) == {
-            "best": best, "scores": {str(a): f1 for a, f1 in scores.items()}}
+            "best": best, "config_hash": want_hash,
+            "scores": {str(a): f1 for a, f1 in scores.items()}}
 
     @pytest.mark.parametrize("grid", ["0.5,abc", ",", "1.5"])
     def test_bad_grid_is_2(self, data_path, tmp_path, capsys, grid):

@@ -1,10 +1,17 @@
+import ctypes
+import resource
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pada_lab import training
-from pada_lab.corpus import DOMAIN_PREFIX, EOS, SEP, Example, Vocabulary
+from pada_lab.corpus import (
+    DOMAIN_PREFIX, EOS, SEP, Example, SyntheticSpec, Vocabulary, generate_synthetic,
+)
 from pada_lab.drf import PromptAnnotation
-from pada_lab.model import ModelConfig
+from pada_lab.harness import ExperimentConfig, build_artifacts
+from pada_lab.model import ModelConfig, init_params, loss_and_grads
 from pada_lab.training import (
     ADAM_EPS,
     AdamState,
@@ -474,3 +481,63 @@ class TestTrainLoop:
     def test_no_examples_rejected(self):
         with pytest.raises(ValueError, match="examples"):
             train(tiny_model(), VOCAB, LABELS, [], TrainConfig(), lambda p: 0.0)
+
+    @pytest.mark.parametrize("no_mallopt", ["libc fails to load", "libc has no mallopt"])
+    def test_trains_alike_without_mallopt(self, no_mallopt, monkeypatch):
+        # where the allocator cannot be set, train runs on and computes the same bits
+        want, _ = self.run([0.5, 0.8], patience=1)
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            if no_mallopt == "libc fails to load":
+                raise OSError("no libc")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        got, _ = self.run([0.5, 0.8], patience=1)
+        assert calls
+        assert got.best_epoch == want.best_epoch and got.log == want.log
+        for k, v in want.params.items():
+            assert got.params[k].tobytes() == v.tobytes(), k
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_warm_steps_reuse_the_heap():
+    # Once train has set the allocator, the memory one step's backward
+    # pass frees stays mapped for the next step, which then faults in
+    # few fresh pages. Desk settings on the synthetic corpus, mixed gen
+    # and disc batches of 16; with the heap trimmed after every step
+    # such a step takes several hundred minor faults.
+    dataset = generate_synthetic(SyntheticSpec(n_domains=3, examples_per_domain=40, seed=3))
+    cfg = ExperimentConfig()
+    art = build_artifacts(dataset, dataset.domains, cfg)
+    pairs = [(e, art.annotations[(d, e.id)]) for d in dataset.domains for e in dataset.train[d]]
+    model_cfg = cfg.model_config(len(art.vocab), len(dataset.label_set))
+    train_cfg = replace(cfg.train_config(), epochs=1)
+    train(model_cfg, art.vocab, dataset.label_set, pairs[:16], train_cfg, lambda p: 0.0)
+
+    instances = mix_tasks(pairs, 0.5, np.random.default_rng(0), art.vocab, dataset.label_set,
+                          model_cfg.max_input_len, model_cfg.max_output_len)
+    batches = [b for b in task_batches(instances, 16) if len(b) == 16]
+    assert {b[0].task for b in batches} == {"gen", "disc"}
+    params, state = init_params(model_cfg), AdamState()
+
+    def steps(first, n):
+        nonlocal params, state
+        for step in range(first, first + n):
+            _, grads = loss_and_grads(model_cfg, params, batches[step % len(batches)])
+            params, state = adam_step(params, grads, state, step + 1, train_cfg, 100, 10)
+
+    steps(0, 3)  # warm: the position and mask tables, the Adam state
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps(3, 15)
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 15
+    assert per_step < 200, per_step
