@@ -36,15 +36,14 @@ from .harness import (
     run_loo,
     run_setting,
 )
-from .inference import BeamConfig, GeneratedPrompt, diverse_beam_search
+from .inference import GeneratedPrompt, diverse_beam_search
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, init_params, load_checkpoint, loss_and_grads, save_checkpoint
-from .training import TrainConfig, TrainResult, mix_tasks, train
+from .training import TrainResult, mix_tasks, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamConfig",
     "DomainProfile",
     "EmbeddingTable",
     "Example",
@@ -57,7 +56,6 @@ __all__ = [
     "MultiDomainDataset",
     "PromptAnnotation",
     "SyntheticSpec",
-    "TrainConfig",
     "TrainResult",
     "Vocabulary",
     "annotate_prompt",

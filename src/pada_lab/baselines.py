@@ -16,13 +16,16 @@ in what they train on and what the classifier input looks like:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .corpus import Example, Vocabulary, domain_token
 from .model import ModelConfig, classify, encode, pad_batch
-from .training import TrainConfig, TrainResult, build_disc_input, train
+from .training import TrainResult, build_disc_input, train
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 
 def argmax_class(probs: np.ndarray) -> int:
@@ -64,14 +67,13 @@ def train_classifier_only(
     vocab: Vocabulary,
     label_set: Sequence[str],
     examples: Sequence[Example],
-    train_cfg: TrainConfig,
+    cfg: ExperimentConfig,
     eval_fn: Callable[[dict], float],
 ) -> TrainResult:
     """Bare-text discriminative training: the mixture with the
     generative share forced to zero and no annotations."""
     pairs = [(ex, None) for ex in examples]
-    cfg = replace(train_cfg, alpha=0.0)
-    return train(model_cfg, vocab, label_set, pairs, cfg, eval_fn)
+    return train(model_cfg, vocab, label_set, pairs, replace(cfg, alpha=0.0), eval_fn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +93,7 @@ def train_experts(
     vocab: Vocabulary,
     label_set: Sequence[str],
     train_by_domain: dict[str, Sequence[Example]],
-    train_cfg: TrainConfig,
+    cfg: ExperimentConfig,
     eval_fn_for: Callable[[str], Callable[[dict], float]],
 ) -> tuple[ExpertEnsemble, dict[str, TrainResult]]:
     """One bare-text expert per domain, each stopped on its own dev set."""
@@ -99,7 +101,7 @@ def train_experts(
     params_by_domain = {}
     for domain in sorted(train_by_domain):
         result = train_classifier_only(
-            model_cfg, vocab, label_set, train_by_domain[domain], train_cfg,
+            model_cfg, vocab, label_set, train_by_domain[domain], cfg,
             eval_fn_for(domain),
         )
         results[domain] = result

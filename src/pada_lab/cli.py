@@ -296,14 +296,13 @@ def _cmd_predict(merged: dict) -> int:
     trained, cfg = load_model_dir(model_dir)
     model_hash = cfg.config_hash(trained.label_set, trained.positive_class)
     examples = _read_predict_records(data, _schema_from(merged))
-    beam_cfg = cfg.beam_config()
 
     candidate_lists = None
     if trained.model == "pada":  # every candidate is written, not the best alone
         probs, candidate_lists = pada_candidates_many(
-            trained.model_cfg, trained.params, trained.vocab, examples, beam_cfg)
+            trained.model_cfg, trained.params, trained.vocab, examples, cfg, cfg.num_candidates)
     else:
-        probs, _ = VARIANTS[trained.model].predict(trained, examples, beam_cfg)
+        probs, _ = VARIANTS[trained.model].predict(trained, examples, cfg)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:

@@ -110,8 +110,6 @@ def ratio_filter(
     domain_j is at most rho times the count inside it (and the inside
     count is positive), with the inside and outside counts it reads.
     Counts are per-domain occurrence totals."""
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
     if domain_j not in token_counts:
         raise ValueError(f"no counts for domain {domain_j!r}")
     inside = token_counts[domain_j]
@@ -141,14 +139,12 @@ def extract_drf_set(
     dataset: MultiDomainDataset,
     sources,
     domain_j: str,
-    rho: float = 3.0,
-    k_drf: int = 50,
+    rho: float,
+    k_drf: int,
 ) -> DomainProfile:
     """Rank all source-training tokens by descending MI (ties by
     ascending token), apply the ratio filter, keep the first k_drf
     survivors."""
-    if k_drf < 1:
-        raise ValueError("k_drf must be positive")
     mi = mutual_information(dataset, sources, domain_j)
     passes, inside, outside = ratio_filter(domain_token_counts(dataset, sources), domain_j, rho)
     ordered = sorted(mi, key=lambda t: (-mi[t], t))
@@ -211,18 +207,14 @@ def build_embeddings(
     dataset: MultiDomainDataset,
     sources,
     vocab: Vocabulary,
-    d_emb: int = 32,
-    window: int = 3,
+    d_emb: int,
+    window: int,
 ) -> EmbeddingTable:
     """PPMI co-occurrence over a symmetric window, factored by truncated
     SVD. Built from source training text only; every vocabulary token
     (UNK included) gets a finite vector; the dense factorization is
     deterministic.
     """
-    if d_emb < 1:
-        raise ValueError("d_emb must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if len(vocab) - len(SPECIAL_TOKENS) < 2:
         raise ValueError("vocabulary too small for co-occurrence, need >= 2 tokens")
 
@@ -259,7 +251,7 @@ def annotate_prompt(
     example: Example,
     profile: DomainProfile,
     emb: EmbeddingTable,
-    m: int = 5,
+    m: int,
 ) -> PromptAnnotation:
     """Score each domain feature by its minimum Euclidean distance to
     any of the example's tokens; keep the nearest m.
@@ -267,8 +259,6 @@ def annotate_prompt(
     Ties break by the feature's MI rank, then by token string, so the
     annotation is fully deterministic.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
     token_vecs = np.array([emb.lookup(t) for t in dict.fromkeys(example.tokens)])
 
     dists = []

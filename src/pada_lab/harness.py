@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -52,42 +53,38 @@ from .drf import (
     extract_drf_set,
     save_profile,
 )
-from .inference import BeamConfig, GeneratedPrompt, generate_candidates_many
+from .inference import GeneratedPrompt, generate_candidates_many
 from .metrics import f1_binary, f1_macro
 from .model import ModelConfig, config_from_dict, load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+from .training import train
 
 @dataclass(frozen=True)
 class MetricSpec:
-    kind: str = "binary-F1"
-    positive_class: str | None = None
+    """F1 of `positive_class`, or macro F1 when it is None."""
 
-    def __post_init__(self):
-        if self.kind not in ("binary-F1", "macro-F1"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "binary-F1" and self.positive_class is None:
-            raise ValueError("binary-F1 needs a declared positive class")
+    positive_class: str | None
 
     def score(self, y_true: Sequence[str], y_pred: Sequence[str], label_set: Sequence[str]) -> float:
-        if self.kind == "binary-F1":
-            return f1_binary(y_true, y_pred, self.positive_class, label_set)
-        return f1_macro(y_true, y_pred, label_set)
+        if self.positive_class is None:
+            return f1_macro(y_true, y_pred, label_set)
+        return f1_binary(y_true, y_pred, self.positive_class, label_set)
 
 
 def metric_for_dataset(dataset: MultiDomainDataset, task_metric: str = "auto") -> MetricSpec:
     """`task_metric` (see `ExperimentConfig`) resolved against the run's
     label set and positive class."""
-    if task_metric == "binary" or (
-        task_metric == "auto" and len(dataset.label_set) == 2
-        and dataset.positive_class is not None
-    ):
-        return MetricSpec(kind="binary-F1", positive_class=dataset.positive_class)
-    return MetricSpec(kind="macro-F1")
+    if task_metric == "binary" and dataset.positive_class is None:
+        raise ValueError("binary-F1 needs a declared positive class")
+    if task_metric == "binary" or (task_metric == "auto" and len(dataset.label_set) == 2):
+        return MetricSpec(dataset.positive_class)
+    return MetricSpec(None)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of the pipeline in one flat, hashable record."""
+    """Every knob of the pipeline in one flat, hashable record: the one
+    place a setting gets its default and its range check. Each stage
+    reads the settings it needs from the config it is handed."""
 
     # feature extraction
     rho: float = 3.0
@@ -129,12 +126,29 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "float":
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        if self.task_metric not in ("auto", "binary", "macro"):
-            raise ValueError(
-                f"unknown task metric {self.task_metric!r}; expected auto, binary or macro")
-        # out-of-range settings fail here, through the stage configs' own checks
-        self.train_config()
-        self.beam_config()
+        for ok, message in (
+            (self.task_metric in ("auto", "binary", "macro"),
+             f"unknown task metric {self.task_metric!r}; expected auto, binary or macro"),
+            (self.rho >= 0, "rho must be non-negative"),
+            (self.k_drf >= 1, "k_drf must be positive"),
+            (self.prompt_len >= 0, "prompt_len must be non-negative"),
+            (self.d_emb >= 1, "d_emb must be >= 1"),
+            (self.window >= 1, "window must be >= 1"),
+            (0.0 <= self.alpha <= 1.0, "alpha must be in [0, 1]"),
+            (self.epochs >= 1 and self.batch_size >= 1, "epochs and batch_size must be positive"),
+            (self.lr > 0, "lr must be positive"),
+            (0.0 <= self.warmup_ratio <= 1.0, "warmup_ratio must be in [0, 1]"),
+            (self.patience >= 0, "patience must be non-negative"),
+            (min(self.num_candidates, self.beam_size, self.num_groups) >= 1,
+             "beam sizes must be positive"),
+            (self.beam_size % max(self.num_groups, 1) == 0,
+             f"beam_size {self.beam_size} is not divisible by num_groups {self.num_groups}"),
+            (0.0 <= self.diversity_penalty < math.inf,
+             "diversity_penalty must be finite and non-negative"),
+        ):
+            if not ok:
+                raise ValueError(message)
+        # the model dimensions are checked by ModelConfig, as a checkpoint header's are
         self.model_config(len(SPECIAL_TOKENS), 2)
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
@@ -152,24 +166,13 @@ class ExperimentConfig:
             seed=self.seed,
         )
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            alpha=self.alpha,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            warmup_ratio=self.warmup_ratio,
-            patience=self.patience,
-            seed=self.seed if seed is None else seed,
-        )
+    # `train` and the searches read this config itself; perfbench/workloads.py
+    # still asks for it by these two names.
+    def train_config(self, seed: int | None = None) -> ExperimentConfig:
+        return self if seed is None else replace(self, seed=seed)
 
-    def beam_config(self) -> BeamConfig:
-        return BeamConfig(
-            num_candidates=self.num_candidates,
-            beam_size=self.beam_size,
-            num_groups=self.num_groups,
-            diversity_penalty=self.diversity_penalty,
-        )
+    def beam_config(self) -> ExperimentConfig:
+        return self
 
     def config_hash(self, label_set: Sequence[str], positive_class: str | None) -> str:
         """The one hash of what a run computes: every setting, the label
@@ -225,14 +228,16 @@ def pada_candidates_many(
     params: dict,
     vocab: Vocabulary,
     examples: Sequence[Example],
-    beam_cfg: BeamConfig,
+    cfg: ExperimentConfig,
+    num_candidates: int,
 ) -> tuple[np.ndarray, list[list[GeneratedPrompt]]]:
     """Two-step prediction for a batch: prompt generation, decoding the
     examples of one input length together, then one batched
     classification over best prompt + SEP + text. Returns the class
-    probabilities and each example's `beam_cfg.num_candidates`
-    candidates, best first."""
-    candidates = generate_candidates_many(model_cfg, params, vocab, examples, beam_cfg)
+    probabilities and each example's `num_candidates` candidates, best
+    first."""
+    candidates = generate_candidates_many(model_cfg, params, vocab, examples, cfg,
+                                          num_candidates)
     probs = classify_many(
         model_cfg, params, vocab, examples, prompts=[c[0].prompt_ids for c in candidates]
     )
@@ -244,17 +249,16 @@ def pada_predict_many(
     params: dict,
     vocab: Vocabulary,
     examples: Sequence[Example],
-    beam_cfg: BeamConfig,
+    cfg: ExperimentConfig,
 ) -> tuple[np.ndarray, list[GeneratedPrompt]]:
     """`pada_candidates_many` with each example's best prompt alone.
 
     Only the best candidate is used, so the search asks for one,
-    whatever `beam_cfg.num_candidates` says: an example then stops as
-    soon as its best finished score is above all its live ones, and the
-    prompt is the one a full search would rank first (see the
-    `inference` module docstring)."""
-    probs, candidates = pada_candidates_many(
-        model_cfg, params, vocab, examples, replace(beam_cfg, num_candidates=1))
+    whatever `cfg.num_candidates` says: an example then stops as soon as
+    its best finished score is above all its live ones, and the prompt
+    is the one a full search would rank first (see the `inference`
+    module docstring)."""
+    probs, candidates = pada_candidates_many(model_cfg, params, vocab, examples, cfg, 1)
     return probs, [c[0] for c in candidates]
 
 
@@ -283,31 +287,31 @@ class TrainedVariant:
 
 # A prediction path: class probabilities [N, C] for examples under a
 # trained variant, plus the generated prompts (two-step model only).
-Predict = Callable[[TrainedVariant, Sequence[Example], BeamConfig],
+Predict = Callable[[TrainedVariant, Sequence[Example], ExperimentConfig],
                    tuple[np.ndarray, list[GeneratedPrompt] | None]]
 
 
-def _predict_pada(trained, examples, beam_cfg):
-    return pada_predict_many(trained.model_cfg, trained.params, trained.vocab, examples, beam_cfg)
+def _predict_pada(trained, examples, cfg):
+    return pada_predict_many(trained.model_cfg, trained.params, trained.vocab, examples, cfg)
 
 
-def _predict_bare(trained, examples, beam_cfg):
+def _predict_bare(trained, examples, cfg):
     return classify_many(trained.model_cfg, trained.params, trained.vocab, examples), None
 
 
-def _predict_names(trained, examples, beam_cfg):
+def _predict_names(trained, examples, cfg):
     probs = dn_predict_many(
         trained.model_cfg, trained.params, trained.vocab, examples, trained.sources)
     return probs, None
 
 
-def _predict_experts(trained, examples, beam_cfg):
+def _predict_experts(trained, examples, cfg):
     return moe_predict_many(trained.ensemble, trained.vocab, examples), None
 
 
-def _score(predict: Predict, trained, examples, metric: MetricSpec, beam_cfg):
+def _score(predict: Predict, trained, examples, metric: MetricSpec, cfg: ExperimentConfig):
     """`metric` over `examples` under `predict`, and the prompts it made."""
-    probs, prompts = predict(trained, examples, beam_cfg)
+    probs, prompts = predict(trained, examples, cfg)
     labels = probs_to_labels(probs, trained.label_set)
     return metric.score([ex.label for ex in examples], labels, trained.label_set), prompts
 
@@ -322,10 +326,10 @@ def _fit_mixture(prompt_style: str, select: Predict):
     examples with `prompt_style` prompts; `select` scores each epoch on
     the pooled dev set."""
 
-    def fit(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+    def fit(base, dataset, domains, artifacts, cfg, eval_fn_for):
         pairs = [(ex, artifacts.annotations[(d, ex.id)])
                  for d in domains for ex in dataset.train[d]]
-        result = train(base.model_cfg, base.vocab, base.label_set, pairs, train_cfg,
+        result = train(base.model_cfg, base.vocab, base.label_set, pairs, cfg,
                        eval_fn_for(select, dataset.dev_examples(domains)),
                        prompt_style=prompt_style)
         return _with_result(base, result)
@@ -333,20 +337,20 @@ def _fit_mixture(prompt_style: str, select: Predict):
     return fit
 
 
-def _fit_bare(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+def _fit_bare(base, dataset, domains, artifacts, cfg, eval_fn_for):
     """Bare-text classification, each epoch scored on the pooled dev set."""
     result = train_classifier_only(
         base.model_cfg, base.vocab, base.label_set, dataset.train_examples(domains),
-        train_cfg, eval_fn_for(_predict_bare, dataset.dev_examples(domains)),
+        cfg, eval_fn_for(_predict_bare, dataset.dev_examples(domains)),
     )
     return _with_result(base, result)
 
 
-def _fit_experts(base, dataset, domains, artifacts, train_cfg, eval_fn_for):
+def _fit_experts(base, dataset, domains, artifacts, cfg, eval_fn_for):
     """One bare-text expert per domain, each stopped on its own dev set."""
     ensemble, results = train_experts(
         base.model_cfg, base.vocab, base.label_set, {d: dataset.train[d] for d in domains},
-        train_cfg, lambda d: eval_fn_for(_predict_bare, list(dataset.dev[d])),
+        cfg, lambda d: eval_fn_for(_predict_bare, list(dataset.dev[d])),
     )
     logs = [{"domain": d, **rec} for d in ensemble.domains for rec in results[d].log]
     return replace(base, ensemble=ensemble, logs=logs,
@@ -358,8 +362,9 @@ class Variant:
     """What one model name means.
 
     fit: the training recipe. fit(base, dataset, domains, artifacts,
-    train_cfg, eval_fn_for) returns `base` trained on `domains`, where
-    eval_fn_for(predict, dev) scores an epoch by `predict` on `dev`.
+    cfg, eval_fn_for) returns `base` trained on `domains` under `cfg`,
+    whose seed is the run's, where eval_fn_for(predict, dev) scores an
+    epoch by `predict` on `dev`.
     Names with the same recipe and training domains share one run.
     predict: the prediction path that scores the target.
     dev_is_source_f1: training selects its checkpoint by this `predict`
@@ -473,14 +478,14 @@ def train_variant(
             sources=tuple(setting.sources),
             target=setting.target,
         )
-        beam_cfg = cfg.beam_config()
         metric = metric_for_dataset(dataset, cfg.task_metric)
 
         def eval_fn_for(predict, dev):
             return lambda params: _score(
-                predict, replace(base, params=params), dev, metric, beam_cfg)[0]
+                predict, replace(base, params=params), dev, metric, cfg)[0]
 
-        trained = variant.fit(base, dataset, domains, artifacts, cfg.train_config(seed),
+        # the model initialises from cfg.seed; the run's seed draws its data order
+        trained = variant.fit(base, dataset, domains, artifacts, replace(cfg, seed=seed),
                               eval_fn_for)
         if cache is not None and _reused(variant):
             cache[key] = trained
@@ -509,14 +514,13 @@ def run_setting(
     trained = train_variant(dataset, setting, model, artifacts, cfg, seed, cache)
 
     metric = metric_for_dataset(dataset, cfg.task_metric)
-    beam_cfg = cfg.beam_config()
     if variant.all_domains:
         test_examples = list(dataset.dev[setting.target])
         target_split = "dev"
     else:
         test_examples = dataset.target_test_examples(setting.target)
         target_split = "test"
-    target_f1, prompts = _score(variant.predict, trained, test_examples, metric, beam_cfg)
+    target_f1, prompts = _score(variant.predict, trained, test_examples, metric, cfg)
     fallbacks = sum(1 for p in prompts if p.used_fallback) if prompts else 0
 
     if variant.dev_is_source_f1 and not np.isnan(trained.best_dev):
@@ -525,7 +529,7 @@ def run_setting(
         source_dev_f1 = trained.best_dev
     else:
         source_dev_f1, _ = _score(
-            variant.predict, trained, dataset.dev_examples(setting.sources), metric, beam_cfg)
+            variant.predict, trained, dataset.dev_examples(setting.sources), metric, cfg)
 
     return ExperimentReport(
         target=setting.target,
@@ -574,7 +578,8 @@ def write_run_report(out_dir, cells: dict[tuple[str, str], dict]) -> tuple[list[
 
 def read_run_cells(run_dir) -> dict[tuple[str, str], dict]:
     """The cell reports under `run_dir`/cells by (model, target), each
-    checked for what the run report reads."""
+    checked for what the run report reads. Every cell must carry one
+    config hash: cells of two runs do not make one table."""
     cells_dir = Path(run_dir) / "cells"
     if not cells_dir.is_dir():
         raise ValueError(f"no cells/ directory under {run_dir}")
@@ -583,6 +588,7 @@ def read_run_cells(run_dir) -> dict[tuple[str, str], dict]:
         return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
 
     cells: dict[tuple[str, str], dict] = {}
+    first = None  # (path, config hash) of the first cell
     for path in sorted(cells_dir.glob("*.json")):
         cell = read_json_object(path, "cell report")
         entry = partial(json_entry, path, cell)
@@ -590,6 +596,11 @@ def read_run_cells(run_dir) -> dict[tuple[str, str], dict]:
                entry("target", lambda v: isinstance(v, str), "a string"))
         entry("target_f1", number_in(0.0, 1.0), "a number in [0, 1]")
         entry("shift", number_in(-1.0, 1.0), "a number in [-1, 1]")  # dev - test
+        config_hash = entry("config_hash", lambda v: isinstance(v, str), "a string")
+        first = first or (path, config_hash)
+        if config_hash != first[1]:
+            raise ValueError(f"{path}: config hash {config_hash} differs from {first[0].name}'s "
+                             f"{first[1]}; the cells come from more than one run")
         if key in cells:
             raise ValueError(f"{path}: a second report for model {key[0]!r}, target {key[1]!r}")
         cells[key] = cell
@@ -906,4 +917,9 @@ def load_model_dir(model_dir) -> tuple[TrainedVariant, ExperimentConfig]:
         ensemble=ensemble,
         best_epoch=manifest.get("best_epoch", -1),
     )
+    stored = entry("config_hash", lambda v: isinstance(v, str), "a string")
+    computed = cfg.config_hash(label_set, positive_class)
+    if stored != computed:
+        raise ValueError(f"{manifest_path}: config_hash {stored} does not match the hash of "
+                         f"its config and labels, {computed}")
     return trained, cfg

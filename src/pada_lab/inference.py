@@ -33,17 +33,18 @@ scores above it, and once the example's `num_candidates`-th best
 finished score is above every live score, its live hypotheses are
 dropped. The candidates are the ones the full search would return,
 and the other examples of the search are untouched, because selection
-and diversity penalties are per example. `num_candidates` enters the
+and diversity penalties are per example. The candidate count is an
+argument of the search, not a setting it reads, and it enters the
 search only through this stop and the final cut, so asking for fewer
-candidates returns the first ones of the longer list, sooner:
+candidates returns the first ones of the longer list, sooner: CLI
+`predict` asks for the config's `num_candidates`, while
 `harness.pada_predict_many` uses only the best, so it asks for one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,30 +52,15 @@ from .corpus import BOS, EOS, UNK, Example, Vocabulary
 from .model import ModelConfig, advance_decoder, encode, start_decoder
 from .training import build_gen_input
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
+
 
 # Most examples decoded in one search. The search holds every row's
 # self-attention keys and values, so this bounds its memory whatever
 # the number of examples; on a 150-example set, 16 decodes as fast as
 # 32 or 64 with about half or a quarter of the peak memory.
 SEARCH_EXAMPLES = 16
-
-
-@dataclass(frozen=True)
-class BeamConfig:
-    num_candidates: int = 5
-    beam_size: int = 10
-    num_groups: int = 5
-    diversity_penalty: float = 1.5
-
-    def __post_init__(self):
-        if self.num_candidates < 1 or self.beam_size < 1 or self.num_groups < 1:
-            raise ValueError("beam sizes must be positive")
-        if self.beam_size % self.num_groups != 0:
-            raise ValueError(
-                f"beam_size {self.beam_size} is not divisible by num_groups {self.num_groups}"
-            )
-        if not 0.0 <= self.diversity_penalty < math.inf:
-            raise ValueError("diversity_penalty must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -138,14 +124,16 @@ def diverse_beam_search_many(
     params: dict,
     enc_states: np.ndarray,
     enc_mask: np.ndarray,
-    cfg: BeamConfig,
+    cfg: ExperimentConfig,
+    num_candidates: int,
 ) -> list[list[Hypothesis]]:
     """Decode each of E encoded inputs of one length into
     `num_candidates` hypotheses; each input's list is exactly what
-    `diverse_beam_search` returns for it alone.
+    `diverse_beam_search` returns for it alone. The beam is
+    `cfg.beam_size` wide in `cfg.num_groups` groups.
 
     Groups advance in a fixed order each step; a group's token scores
-    are reduced by diversity_penalty times the number of times earlier
+    are reduced by cfg.diversity_penalty times the number of times earlier
     groups emitted that token at this same step for the same input.
     Within a group an ordinary beam on cumulative penalized score
     applies. Every hypothesis ends with EOS (forced at the length cap).
@@ -219,8 +207,8 @@ def diverse_beam_search_many(
                                 scores[n_live:].tolist()):
             finished[e].append((tuple(seq), r, p))
         for e in set(done_ex):
-            top = sorted((h[1] for h in finished[e]), reverse=True)[: cfg.num_candidates]
-            if len(top) == cfg.num_candidates:
+            top = sorted((h[1] for h in finished[e]), reverse=True)[:num_candidates]
+            if len(top) == num_candidates:
                 settled[e] = top[-1]
         live = example[src[:n_live]]
         # A live hypothesis can at best tie its own raw score, and a tie
@@ -236,7 +224,7 @@ def diverse_beam_search_many(
         if not hyps:
             raise RuntimeError("no finished hypotheses")
         hyps.sort(key=lambda h: (-h[1], h[0]))
-        out.append([Hypothesis(*h) for h in hyps[: cfg.num_candidates]])
+        out.append([Hypothesis(*h) for h in hyps[:num_candidates]])
     return out
 
 
@@ -245,13 +233,15 @@ def diverse_beam_search(
     params: dict,
     enc_states: np.ndarray,
     enc_mask: np.ndarray,
-    cfg: BeamConfig,
+    cfg: ExperimentConfig,
+    num_candidates: int,
 ) -> list[Hypothesis]:
     """Decode one encoded input into `num_candidates` hypotheses (see
     `diverse_beam_search_many`)."""
     if enc_states.shape[0] != 1:
         raise ValueError("decode one input at a time")
-    return diverse_beam_search_many(model_cfg, params, enc_states, enc_mask, cfg)[0]
+    return diverse_beam_search_many(model_cfg, params, enc_states, enc_mask, cfg,
+                                    num_candidates)[0]
 
 
 # --- prompt generation ------------------------------------------------------
@@ -300,14 +290,14 @@ def generate_candidates_many(
     params: dict,
     vocab: Vocabulary,
     examples: Sequence[Example],
-    beam_cfg: BeamConfig | None = None,
+    cfg: ExperimentConfig,
+    num_candidates: int,
 ) -> list[list[GeneratedPrompt]]:
-    """All decoded prompt candidates for each example, best first, in
-    input order. Examples are bucketed by their truncated input length;
-    up to SEARCH_EXAMPLES examples of a bucket are encoded in one
-    unpadded call and decoded as one search, so every example gets the
-    bits of its own search."""
-    beam_cfg = beam_cfg if beam_cfg is not None else BeamConfig()
+    """Up to `num_candidates` decoded prompt candidates for each example,
+    best first, in input order. Examples are bucketed by their truncated
+    input length; up to SEARCH_EXAMPLES examples of a bucket are encoded
+    in one unpadded call and decoded as one search, so every example
+    gets the bits of its own search."""
     buckets: dict[int, list[int]] = {}
     inputs = []
     for i, ex in enumerate(examples):
@@ -320,7 +310,8 @@ def generate_candidates_many(
             ids = np.array([inputs[i] for i in chunk], dtype=np.int64)
             mask = np.ones(ids.shape)
             enc_states = encode(model_cfg, params, ids, mask)
-            hyp_lists = diverse_beam_search_many(model_cfg, params, enc_states, mask, beam_cfg)
+            hyp_lists = diverse_beam_search_many(model_cfg, params, enc_states, mask, cfg,
+                                                 num_candidates)
             for i, hyps in zip(chunk, hyp_lists):
                 out[i] = _prompts(vocab, hyps)
     return out
@@ -331,7 +322,7 @@ def generate_prompt(
     params: dict,
     vocab: Vocabulary,
     example: Example,
-    beam_cfg: BeamConfig | None = None,
+    cfg: ExperimentConfig,
 ) -> GeneratedPrompt:
     """Best decoded prompt for one example."""
-    return generate_candidates_many(model_cfg, params, vocab, [example], beam_cfg)[0][0]
+    return generate_candidates_many(model_cfg, params, vocab, [example], cfg, 1)[0][0]

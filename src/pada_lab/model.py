@@ -33,17 +33,20 @@ CHECKPOINT_MAGIC = b"PADALAB-CKPT-v1\n"
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The network's shape and init seed, and a checkpoint's header. It
+    has no defaults: `ExperimentConfig.model_config` builds it."""
+
     vocab_size: int
     n_classes: int
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ffn: int = 128
-    max_input_len: int = 128
-    max_output_len: int = 40
-    conv_filters: int = 32
-    conv_width: int = 9
-    seed: int = 0
+    d_model: int
+    n_layers: int
+    n_heads: int
+    d_ffn: int
+    max_input_len: int
+    max_output_len: int
+    conv_filters: int
+    conv_width: int
+    seed: int
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_ffn", "conv_filters"):

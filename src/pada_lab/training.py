@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -19,28 +19,8 @@ from .corpus import EOS, SEP, DOMAIN_PREFIX, Example, Vocabulary, domain_token
 from .drf import PromptAnnotation
 from .model import ModelConfig, init_params, loss_and_grads
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    alpha: float = 0.25
-    epochs: int = 5
-    batch_size: int = 32
-    lr: float = 5e-5
-    warmup_ratio: float = 0.1
-    patience: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ValueError("warmup_ratio must be in [0, 1]")
-        if self.patience < 0:
-            raise ValueError("patience must be non-negative")
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -158,8 +138,6 @@ def mix_tasks(
     discriminative otherwise, drawn i.i.d. from the given stream, then
     shuffled with the same stream. Examples without an annotation are
     always rendered promptless discriminative (requires alpha = 0)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
     draws = rng.random(len(pairs)) < alpha
     instances = []
     for (example, ann), generative in zip(pairs, draws):
@@ -219,11 +197,11 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     step: int,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
     total_steps: int,
     warmup_steps: int,
 ):
-    """One bias-corrected Adam update at the scheduled learning rate.
+    """One bias-corrected Adam update at the scheduled rate for `cfg.lr`.
 
     Math runs in float64. Each updated tensor is rounded to float32 and
     returned in the parameter's own dtype, so float64 parameters stay on
@@ -319,14 +297,16 @@ def train(
     vocab: Vocabulary,
     label_set: Sequence[str],
     pairs: Sequence[tuple[Example, PromptAnnotation | None]],
-    train_cfg: TrainConfig,
+    cfg: ExperimentConfig,
     eval_fn: Callable[[dict], float],
     prompt_style: str = "drf",
 ) -> TrainResult:
     """Optimize from a fresh init; keep the best checkpoint by dev score.
 
-    The task mixture for every epoch is drawn up front from one seeded
-    stream, which fixes the schedule's total step count. Training stops
+    The optimization settings come from `cfg`, the model and its input
+    caps from `model_cfg`. The task mixture for every epoch is drawn up
+    front from one stream seeded by `cfg.seed`, which fixes the
+    schedule's total step count. Training stops
     once the dev score fails to improve for more than `patience`
     consecutive epochs. Gold prompts condition the discriminative task;
     evaluation uses the injected end-to-end callback.
@@ -334,17 +314,17 @@ def train(
     if not pairs:
         raise ValueError("no training examples")
     _keep_heap_mapped()
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     epochs = [
         mix_tasks(
-            pairs, train_cfg.alpha, rng, vocab, label_set,
+            pairs, cfg.alpha, rng, vocab, label_set,
             model_cfg.max_input_len, model_cfg.max_output_len, prompt_style,
         )
-        for _ in range(train_cfg.epochs)
+        for _ in range(cfg.epochs)
     ]
-    plan = [task_batches(instances, train_cfg.batch_size) for instances in epochs]
+    plan = [task_batches(instances, cfg.batch_size) for instances in epochs]
     total_steps = sum(len(b) for b in plan)
-    warmup_steps = int(round(train_cfg.warmup_ratio * total_steps))
+    warmup_steps = int(round(cfg.warmup_ratio * total_steps))
 
     params = init_params(model_cfg)
     state = AdamState()
@@ -365,9 +345,9 @@ def train(
         for batch in batches:
             loss, grads = loss_and_grads(model_cfg, params, batch)
             step += 1
-            lr = lr_at(step, total_steps, warmup_steps, train_cfg.lr)
+            lr = lr_at(step, total_steps, warmup_steps, cfg.lr)
             params, state = adam_step(
-                params, grads, state, step, train_cfg, total_steps, warmup_steps
+                params, grads, state, step, cfg, total_steps, warmup_steps
             )
             sums[batch[0].task] += loss * len(batch)
             counts[batch[0].task] += len(batch)
@@ -389,7 +369,7 @@ def train(
             bad_streak = 0
         else:
             bad_streak += 1
-            if bad_streak > train_cfg.patience:
+            if bad_streak > cfg.patience:
                 break
 
     return TrainResult(

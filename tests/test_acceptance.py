@@ -37,7 +37,7 @@ from pada_lab.drf import (
     ratio_filter,
 )
 from pada_lab.harness import ExperimentConfig, run_loo
-from pada_lab.inference import BeamConfig, diverse_beam_search
+from pada_lab.inference import diverse_beam_search
 from pada_lab.metrics import f1_binary, f1_macro
 from pada_lab.model import (
     ModelConfig,
@@ -267,8 +267,9 @@ def test_beam_search_matches_exhaustive_and_plain_special_case(capsys):
         want = beam_exhaustive(score_fn, vocab_size, EOS, horizon, top=4)
         got = diverse_beam_search(
             cfg, params, enc, mask,
-            BeamConfig(num_candidates=4, beam_size=vocab_size ** horizon, num_groups=1,
-                       diversity_penalty=0.0),
+            ExperimentConfig(beam_size=vocab_size ** horizon, num_groups=1,
+                             diversity_penalty=0.0),
+            4,
         )
         if [h.ids for h in got] != [seq for seq, _ in want]:
             problems += 1

@@ -14,8 +14,9 @@ from pada_lab.baselines import (
     train_experts,
 )
 from pada_lab.corpus import Example, Vocabulary
+from pada_lab.harness import ExperimentConfig
 from pada_lab.model import ModelConfig, init_params
-from pada_lab.training import TrainConfig, train
+from pada_lab.training import train
 
 VOCAB = Vocabulary.from_tokens(["rivers", "lakes", "delta", "flow", "stone", "mud"])
 LABELS = ("neg", "pos")
@@ -24,7 +25,7 @@ LABELS = ("neg", "pos")
 def tiny_model(**kw):
     base = dict(
         vocab_size=len(VOCAB), n_classes=2, d_model=8, n_layers=1, n_heads=2,
-        d_ffn=8, max_input_len=24, max_output_len=8, conv_filters=3, conv_width=3,
+        d_ffn=8, max_input_len=24, max_output_len=8, conv_filters=3, conv_width=3, seed=0,
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -86,12 +87,12 @@ class TestClassifyMany:
 class TestTrainClassifierOnly:
     def test_matches_mixture_at_alpha_zero(self):
         cfg = tiny_model()
-        tc = TrainConfig(alpha=0.7, epochs=2, batch_size=4, lr=1e-3, patience=9, seed=3)
+        tc = ExperimentConfig(alpha=0.7, epochs=2, batch_size=4, lr=1e-3, patience=9, seed=3)
         exs = examples("d", 8)
         a = train_classifier_only(cfg, VOCAB, LABELS, exs, tc, lambda p: 0.0)
         b = train(
             cfg, VOCAB, LABELS, [(e, None) for e in exs],
-            TrainConfig(alpha=0.0, epochs=2, batch_size=4, lr=1e-3, patience=9, seed=3),
+            ExperimentConfig(alpha=0.0, epochs=2, batch_size=4, lr=1e-3, patience=9, seed=3),
             lambda p: 0.0,
         )
         assert a.params.keys() == b.params.keys()
@@ -155,7 +156,7 @@ class TestEnsemble:
 
     def test_train_experts_one_per_domain(self):
         cfg = tiny_model()
-        tc = TrainConfig(alpha=0.0, epochs=1, batch_size=4, lr=1e-3, seed=0)
+        tc = ExperimentConfig(alpha=0.0, epochs=1, batch_size=4, lr=1e-3, seed=0)
         by_domain = {"rivers": examples("rivers", 4), "lakes": examples("lakes", 4)}
         calls = []
 

@@ -1,7 +1,8 @@
 """The benchmark under perfbench/ reaches into the program by name: it
-times the functions `layers.LAYERS` lists and its workloads call
-`pada_lab` functions directly. Every such name must keep resolving, and
-every such call must keep binding to its callable's signature, so a
+times the functions `layers.LAYERS` lists, its workloads call `pada_lab`
+functions directly, and they call methods of the config and metric
+objects the program hands back. Every such name must keep resolving,
+and every such call must keep binding to its callable's signature, so a
 deletion or a renamed parameter that would break the benchmark fails
 here."""
 
@@ -76,6 +77,40 @@ def _workload_calls() -> list[tuple]:
     return calls
 
 
+# The objects workloads.py gets from the program, by the name it keeps
+# each under (a variable, or a key of its state dict), and their class.
+_OBJECTS = {
+    "cfg": ("pada_lab.harness", "ExperimentConfig"),
+    "loaded_cfg": ("pada_lab.harness", "ExperimentConfig"),
+    "metric": ("pada_lab.harness", "MetricSpec"),
+}
+
+
+def _method_calls() -> list[tuple]:
+    """(line, name, function or None, positional count, keyword names)
+    for every `x.f(...)` in workloads.py on an object named in _OBJECTS,
+    `x` a variable or `state["x"]`. The function is the class's own, so
+    the positional count includes `self`; it is None where the class has
+    no such attribute."""
+    tree, _ = _workloads()
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        obj = node.func.value
+        if isinstance(obj, ast.Subscript) and isinstance(obj.slice, ast.Constant):
+            obj_name = obj.slice.value
+        else:
+            obj_name = obj.id if isinstance(obj, ast.Name) else None
+        if obj_name not in _OBJECTS:
+            continue
+        module, cls = _OBJECTS[obj_name]
+        fn = getattr(getattr(importlib.import_module(module), cls), node.func.attr, None)
+        calls.append((node.lineno, f"{module}.{cls}.{node.func.attr}", fn, len(node.args) + 1,
+                      [kw.arg for kw in node.keywords]))
+    return calls
+
+
 def _unbound(calls) -> list[str]:
     """Each call whose positional count or keyword names its callable's
     signature rejects."""
@@ -109,8 +144,13 @@ def test_workload_names_resolve():
 
 
 def test_workload_calls_bind():
-    calls = _workload_calls()
+    calls = _workload_calls() + _method_calls()
     names = {name for _, name, _, _, _ in calls}
     assert {"pada_lab.harness.TrainedVariant", "pada_lab.training.train",
-            "pada_lab.harness.ExperimentConfig"} <= names
+            "pada_lab.harness.ExperimentConfig",
+            "pada_lab.harness.ExperimentConfig.model_config",
+            "pada_lab.harness.ExperimentConfig.train_config",
+            "pada_lab.harness.ExperimentConfig.beam_config",
+            "pada_lab.harness.MetricSpec.score"} <= names
+    assert [f"workloads.py:{line} {name}" for line, name, fn, _, _ in calls if fn is None] == []
     assert _unbound(calls) == []

@@ -41,6 +41,17 @@ TINY_MODEL_FLAGS = [
 ]
 
 
+# Out-of-range values of the feature-extraction settings, with the
+# message that names each; the drf functions once checked these.
+OUT_OF_RANGE_FEATURES = [
+    (["--rho", "-1"], "rho must be non-negative"),
+    (["--k-drf", "0"], "k_drf must be positive"),
+    (["--prompt-len", "-1"], "prompt_len must be non-negative"),
+    (["--d-emb", "0"], "d_emb must be >= 1"),
+    (["--window", "0"], "window must be >= 1"),
+]
+
+
 def tiny_config() -> ExperimentConfig:
     """The ExperimentConfig that TINY_MODEL_FLAGS set."""
     values = {}
@@ -274,12 +285,31 @@ class TestExitCodes:
         (["--epochs", "0"], "epochs and batch_size must be positive"),
         (["--beam-size", "7"], "beam_size 7 is not divisible by num_groups 5"),
         (["--n-heads", "5"], "d_model must be divisible by n_heads"),
+        *OUT_OF_RANGE_FEATURES,
     ])
     def test_out_of_range_setting_is_2_before_writing(self, data_path, tmp_path, capsys,
                                                       flag, message):
         out = tmp_path / "loo"
         rc = main(["run-loo", "--data", str(data_path), "--out", str(out), "--models", "noda",
                    *flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,message", [
+        *((command, flag, message) for command in ("train", "tune-alpha")
+          for flag, message in OUT_OF_RANGE_FEATURES),
+        *(("drf extract", flag, message) for flag, message in OUT_OF_RANGE_FEATURES
+          if flag[0] != "--prompt-len"),  # drf extract annotates nothing
+    ])
+    def test_out_of_range_feature_setting_is_2_before_writing(
+            self, data_path, tmp_path, capsys, command, flag, message):
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--target", "aurora", "--model", "noda", "--out", str(out)],
+                "tune-alpha": ["tune-alpha", "--out", str(out / "alpha.json")],
+                "drf extract": ["drf", "extract", "--out", str(out)]}[command]
+        rc = main([*argv, "--data", str(data_path), *flag])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
@@ -526,6 +556,37 @@ class TestTrainPredictRoundTrip:
         assert err.count("\n") == 1
         assert not (tmp_path / "preds.jsonl").exists()
 
+    @pytest.mark.parametrize("edit", [None, {"beam_size": 4, "num_groups": 2}, {"seed": 1}],
+                             ids=["untouched", "beam settings", "seed"])
+    def test_predict_checks_the_stored_config_hash(self, request, data_path, tmp_path, capsys,
+                                                   edit):
+        """A manifest whose settings no longer hash to its stored
+        config_hash is refused; an untouched copy predicts the bytes the
+        directory it was copied from predicts."""
+        for name in ("noda_dir", "pada_dir"):
+            model = tmp_path / name
+            shutil.copytree(request.getfixturevalue(name), model)
+            if edit:
+                manifest = json.loads((model / "manifest.json").read_text())
+                manifest["config"].update(edit)
+                (model / "manifest.json").write_text(json.dumps(manifest))
+            out = tmp_path / f"{name}.jsonl"
+            rc = main(["predict", "--model-dir", str(model), "--data", str(data_path),
+                       "--out", str(out)])
+            if edit:
+                assert rc == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert f"{model / 'manifest.json'}: config_hash " in err
+                assert "does not match" in err
+                assert not out.exists()
+                continue
+            assert rc == 0
+            want = tmp_path / f"{name}-original.jsonl"
+            assert main(["predict", "--model-dir", str(request.getfixturevalue(name)),
+                         "--data", str(data_path), "--out", str(want)]) == 0
+            assert out.read_bytes() == want.read_bytes()
+
     @settings(max_examples=50, deadline=None)
     @given(damage=st.data())
     def test_predict_survives_damaged_model_dir(self, fuzz_model_dir, data_path, damage):
@@ -573,7 +634,7 @@ class TestTrainPredictRoundTrip:
                     for i, line in enumerate(data.read_text().splitlines())]
         assert len({len(ex.tokens) for ex in examples}) >= 2
         cands = [generate_candidates_many(trained.model_cfg, trained.params, trained.vocab, [ex],
-                                          cfg.beam_config())[0] for ex in examples]
+                                          cfg, cfg.num_candidates)[0] for ex in examples]
         probs = classify_many(trained.model_cfg, trained.params, trained.vocab, examples,
                               prompts=[c[0].prompt_ids for c in cands])
         assert [r["id"] for r in rows] == [ex.id for ex in examples]
@@ -666,8 +727,11 @@ class TestRunLooAndReport:
         (lambda c: json.dumps({**c, "target_f1": float("nan")}), "target_f1 must be"),
         (lambda c: json.dumps({**c, "shift": "0.1"}), "shift must be"),
         (lambda c: json.dumps({**c, "shift": float("inf")}), "shift must be"),
+        (lambda c: json.dumps({k: v for k, v in c.items() if k != "config_hash"}),
+         "missing key 'config_hash'"),
     ], ids=["array", "bad json", "no target", "unknown model", "target not a string",
-            "bool f1", "f1 above 1", "nan f1", "string shift", "infinite shift"])
+            "bool f1", "f1 above 1", "nan f1", "string shift", "infinite shift",
+            "no config hash"])
     def test_report_rejects_bad_cell(self, loo_dir, tmp_path, capsys, edit, message):
         run = tmp_path / "run"
         shutil.copytree(loo_dir, run)
@@ -691,6 +755,22 @@ class TestRunLooAndReport:
                      "--models", "noda,pada-dn", *TINY_MODEL_FLAGS]) == 0
         written = {name: (run / name).read_bytes() for name in ("aggregate.csv", "shifts.svg")}
         assert main(["report", "--run-dir", str(run)]) == 0
+        for name, raw in written.items():
+            assert (run / name).read_bytes() == raw
+
+    def test_report_refuses_cells_of_two_runs(self, data_path, tmp_path, capsys):
+        # two runs of other settings written into one --out: their cells
+        # carry two config hashes and make no one table
+        run = tmp_path / "run"
+        for models, epochs in (("noda", "1"), ("moe", "2")):
+            assert main(["run-loo", "--data", str(data_path), "--out", str(run),
+                         "--models", models, *TINY_MODEL_FLAGS, "--epochs", epochs]) == 0
+        capsys.readouterr()
+        written = {name: (run / name).read_bytes() for name in ("aggregate.csv", "shifts.svg")}
+        assert main(["report", "--run-dir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "noda__aurora.json: config hash " in err and "differs from moe__aurora.json's" in err
         for name, raw in written.items():
             assert (run / name).read_bytes() == raw
 

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 from collections import Counter
@@ -115,8 +114,9 @@ class TestRatioFilter:
         assert outside == {"t": 4, "u": 1}
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_filter(self.counts(a={"t": 1}), "a", rho=-0.1)
+        # the pipeline's rho is range-checked once, by ExperimentConfig
+        with pytest.raises(ValueError, match="rho must be non-negative"):
+            ExperimentConfig(rho=-0.1)
 
 
 class TestExtractDrfSet:
@@ -197,19 +197,6 @@ class TestExtractDrfSet:
         assert {"token", "mi", "ratio"} <= set(data["drfs"][0])
 
 
-def test_library_defaults_match_pipeline():
-    # a library caller relying on the defaults gets the pipeline's profiles
-    cfg = ExperimentConfig()
-
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
-    assert default(extract_drf_set, "rho") == cfg.rho
-    assert default(extract_drf_set, "k_drf") == cfg.k_drf
-    assert default(build_embeddings, "d_emb") == cfg.d_emb
-    assert default(build_embeddings, "window") == cfg.window
-
-
 class TestEmbeddings:
     def small(self):
         ds = make_dataset(
@@ -220,7 +207,7 @@ class TestEmbeddings:
 
     def test_every_vocab_token_has_finite_vector(self):
         ds, vocab = self.small()
-        emb = build_embeddings(ds, ["d"], vocab, d_emb=4)
+        emb = build_embeddings(ds, ["d"], vocab, d_emb=4, window=3)
         for token in vocab.id_to_token:
             vec = emb.vectors[token]
             assert vec.shape == (4,)
@@ -228,8 +215,8 @@ class TestEmbeddings:
 
     def test_deterministic(self):
         ds, vocab = self.small()
-        a = build_embeddings(ds, ["d"], vocab, d_emb=4)
-        b = build_embeddings(ds, ["d"], vocab, d_emb=4)
+        a = build_embeddings(ds, ["d"], vocab, d_emb=4, window=3)
+        b = build_embeddings(ds, ["d"], vocab, d_emb=4, window=3)
         for token in vocab.id_to_token:
             assert np.array_equal(a.vectors[token], b.vectors[token])
 
@@ -262,12 +249,12 @@ class TestEmbeddings:
 
     def test_lookup_falls_back_to_unk(self):
         ds, vocab = self.small()
-        emb = build_embeddings(ds, ["d"], vocab, d_emb=4)
+        emb = build_embeddings(ds, ["d"], vocab, d_emb=4, window=3)
         assert np.array_equal(emb.lookup("never-seen"), emb.vectors["<unk>"])
 
     def test_text_table_format(self, tmp_path):
         ds, vocab = self.small()
-        emb = build_embeddings(ds, ["d"], vocab, d_emb=3)
+        emb = build_embeddings(ds, ["d"], vocab, d_emb=3, window=3)
         emb.write_text(tmp_path / "emb.txt")
         lines = (tmp_path / "emb.txt").read_text().splitlines()
         assert len(lines) == len(vocab.id_to_token)
@@ -281,7 +268,7 @@ class TestEmbeddings:
         ds = make_dataset({"d": [("solo", "pos")]})
         vocab = Vocabulary.from_tokens(["solo"])
         with pytest.raises(ValueError, match="vocab"):
-            build_embeddings(ds, ["d"], vocab, d_emb=4)
+            build_embeddings(ds, ["d"], vocab, d_emb=4, window=3)
 
 
 def profile_of(tokens_mi):

@@ -27,7 +27,7 @@ from pada_lab.harness import (
     write_aggregate_csv,
     write_run_report,
 )
-from pada_lab.metrics import f1_binary
+from pada_lab.metrics import f1_binary, f1_macro
 from pada_lab.model import config_from_dict, init_params, save_checkpoint
 from tests.conftest import make_dataset
 
@@ -68,24 +68,22 @@ def small_cfg(**kw):
 
 class TestMetricSpec:
     def test_binary_needs_positive_class(self):
+        no_positive = replace(small_dataset(), positive_class=None)
         with pytest.raises(ValueError, match="positive"):
-            MetricSpec(kind="binary-F1")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            MetricSpec(kind="accuracy")
+            metric_for_dataset(no_positive, "binary")
 
     def test_binary_score_dispatch(self):
-        spec = MetricSpec(kind="binary-F1", positive_class="pos")
+        spec = MetricSpec("pos")
         y_true, y_pred = ["pos", "neg"], ["pos", "pos"]
         want = f1_binary(y_true, y_pred, "pos", label_set=("neg", "pos"))
         assert spec.score(y_true, y_pred, ("neg", "pos")) == want
+        # no positive class: macro F1
+        assert MetricSpec(None).score(y_true, y_pred, ("neg", "pos")) == f1_macro(
+            y_true, y_pred, ("neg", "pos"))
 
     def test_dataset_dispatch(self):
         ds = small_dataset()
-        spec = metric_for_dataset(ds)
-        assert spec.kind == "binary-F1"
-        assert spec.positive_class == "pos"
+        assert metric_for_dataset(ds) == MetricSpec("pos")
 
 
 class TestExperimentConfig:
@@ -125,10 +123,10 @@ class TestExperimentConfig:
     def test_task_metric_resolves_against_the_dataset(self):
         ds = small_dataset()
         assert metric_for_dataset(ds, "auto") == metric_for_dataset(ds)
-        assert metric_for_dataset(ds, "binary") == MetricSpec("binary-F1", "pos")
-        assert metric_for_dataset(ds, "macro") == MetricSpec("macro-F1")
+        assert metric_for_dataset(ds, "binary") == MetricSpec("pos")
+        assert metric_for_dataset(ds, "macro") == MetricSpec(None)
         no_positive = replace(ds, positive_class=None)
-        assert metric_for_dataset(no_positive) == MetricSpec("macro-F1")
+        assert metric_for_dataset(no_positive) == MetricSpec(None)
         with pytest.raises(ValueError, match="positive class"):
             metric_for_dataset(no_positive, "binary")
 
@@ -430,10 +428,10 @@ class TestRunLoo:
         runs = collections.Counter()
         real = training.train
 
-        def counting(model_cfg, vocab, label_set, pairs, train_cfg, eval_fn, prompt_style="drf"):
-            kind = prompt_style if train_cfg.alpha > 0 else "bare"
+        def counting(model_cfg, vocab, label_set, pairs, cfg, eval_fn, prompt_style="drf"):
+            kind = prompt_style if cfg.alpha > 0 else "bare"
             runs[kind, len({ex.domain for ex, _ in pairs})] += 1
-            return real(model_cfg, vocab, label_set, pairs, train_cfg, eval_fn, prompt_style)
+            return real(model_cfg, vocab, label_set, pairs, cfg, eval_fn, prompt_style)
 
         monkeypatch.setattr("pada_lab.harness.train", counting)
         monkeypatch.setattr("pada_lab.baselines.train", counting)
@@ -592,9 +590,9 @@ class TestModelDirs:
         with pytest.raises(ValueError, match=r"manifest\.json: config: unknown key 'threads'"):
             load_model_dir(tmp_path)
 
-    def edited_manifest(self, tmp_path, edit):
+    def edited_manifest(self, tmp_path, edit, task_metric="macro"):
         trained, cfg, _ = self.trained(small_dataset())
-        save_model_dir(tmp_path, trained, replace(cfg, task_metric="macro"))
+        save_model_dir(tmp_path, trained, replace(cfg, task_metric=task_metric))
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest["config"])
@@ -611,10 +609,15 @@ class TestModelDirs:
             load_model_dir(tmp_path)
 
     def test_manifest_without_task_metric_loads_as_auto(self, tmp_path):
-        manifest = self.edited_manifest(tmp_path, lambda c: c.pop("task_metric"))
+        manifest = self.edited_manifest(tmp_path, lambda c: c.pop("task_metric"), "auto")
         _, cfg = load_model_dir(tmp_path)
         assert cfg.task_metric == "auto"
         assert cfg == ExperimentConfig(**manifest["config"])
+        # a model trained under another metric does not load as auto:
+        # its stored hash names the metric it was trained with
+        self.edited_manifest(tmp_path, lambda c: c.pop("task_metric"), "macro")
+        with pytest.raises(ValueError, match=r"manifest\.json: config_hash .* does not match"):
+            load_model_dir(tmp_path)
 
     def test_manifest_records_the_run_hash(self, tmp_path):
         trained, cfg, _ = self.trained(small_dataset())

@@ -5,11 +5,10 @@ import pytest
 
 from pada_lab.baselines import classify_many
 from pada_lab.corpus import BOS, EOS, UNK, Example, Vocabulary
-from pada_lab.harness import pada_predict_many
+from pada_lab.harness import ExperimentConfig, pada_predict_many
 from pada_lab import inference
 from pada_lab.inference import (
     SEARCH_EXAMPLES,
-    BeamConfig,
     GeneratedPrompt,
     Hypothesis,
     _extend,
@@ -22,6 +21,7 @@ from pada_lab.model import ModelConfig, advance_decoder, encode, init_params, pa
 from tests.oracles import beam_exhaustive, diverse_beam_naive, teacher_forced_logp
 
 VOCAB = Vocabulary.from_tokens(["alpha", "beta"])
+BEAM = ExperimentConfig()  # the pipeline's search settings, five candidates
 
 
 def small_cfg(**kw):
@@ -39,20 +39,22 @@ def encoded(cfg, params, ids=(6, 7)):
 
 
 class TestBeamConfig:
+    """The search settings' range checks, which `ExperimentConfig` makes."""
+
     def test_group_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
-            BeamConfig(beam_size=10, num_groups=3)
+            ExperimentConfig(beam_size=10, num_groups=3)
 
     def test_positive_sizes(self):
-        with pytest.raises(ValueError):
-            BeamConfig(beam_size=0, num_groups=1)
-        with pytest.raises(ValueError):
-            BeamConfig(num_candidates=0)
+        with pytest.raises(ValueError, match="beam sizes must be positive"):
+            ExperimentConfig(beam_size=0, num_groups=1)
+        with pytest.raises(ValueError, match="beam sizes must be positive"):
+            ExperimentConfig(num_candidates=0)
 
     def test_penalty_non_negative(self):
         for penalty in (-0.5, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                BeamConfig(beam_size=4, num_groups=2, diversity_penalty=penalty)
+            with pytest.raises(ValueError, match="diversity_penalty"):
+                ExperimentConfig(beam_size=4, num_groups=2, diversity_penalty=penalty)
 
 
 class TestHypothesis:
@@ -176,8 +178,9 @@ class TestBeamAgainstExhaustive:
         # plain beam search: one group, no penalty
         got = diverse_beam_search(
             cfg, params, enc, mask,
-            BeamConfig(num_candidates=4, beam_size=cfg.vocab_size**max_len, num_groups=1,
-                       diversity_penalty=0.0),
+            ExperimentConfig(beam_size=cfg.vocab_size**max_len, num_groups=1,
+                             diversity_penalty=0.0),
+            4,
         )
         assert [h.ids for h in got] == [ids for ids, _ in want]
         for h, (_, score) in zip(got, want):
@@ -198,7 +201,7 @@ class TestDiverseBeam:
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
             cfg, params, enc, mask,
-            BeamConfig(num_candidates=4, beam_size=4, num_groups=2, diversity_penalty=0.0),
+            ExperimentConfig(beam_size=4, num_groups=2, diversity_penalty=0.0), 4,
         )
         assert len(out) == 4
         assert all(h.finished for h in out)
@@ -211,7 +214,7 @@ class TestDiverseBeam:
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
             replace(cfg, max_output_len=4), params, enc, mask,
-            BeamConfig(num_candidates=4, beam_size=4, num_groups=4, diversity_penalty=1e6),
+            ExperimentConfig(beam_size=4, num_groups=4, diversity_penalty=1e6), 4,
         )
         firsts = [h.ids[0] for h in out]
         assert len(set(firsts)) == len(firsts)
@@ -222,7 +225,7 @@ class TestDiverseBeam:
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
             replace(cfg, max_output_len=3), params, enc, mask,
-            BeamConfig(num_candidates=8, beam_size=8, num_groups=2, diversity_penalty=0.7),
+            ExperimentConfig(beam_size=8, num_groups=2, diversity_penalty=0.7), 8,
         )
         for h in out:
             assert h.ids[-1] == EOS
@@ -235,8 +238,7 @@ class TestDiverseBeam:
         enc, mask = encoded(cfg, params)
         out = diverse_beam_search(
             cfg, params, enc, mask,
-            BeamConfig(num_candidates=6, beam_size=6, num_groups=3,
-                       diversity_penalty=0.9),
+            ExperimentConfig(beam_size=6, num_groups=3, diversity_penalty=0.9), 6,
         )
         scores = [h.raw_score for h in out]
         assert scores == sorted(scores, reverse=True)
@@ -247,16 +249,15 @@ class TestDiverseBeam:
         ids, mask = pad_batch([[6, 7], [7, 6]])
         enc = encode(cfg, params, ids, mask)
         with pytest.raises(ValueError, match="one input"):
-            diverse_beam_search(cfg, params, enc, mask, BeamConfig())
+            diverse_beam_search(cfg, params, enc, mask, BEAM, 5)
 
     def test_deterministic(self):
         cfg = small_cfg()
         params = init_params(cfg)
         enc, mask = encoded(cfg, params)
-        bc = BeamConfig(num_candidates=5, beam_size=10, num_groups=5,
-                        diversity_penalty=1.5)
-        assert diverse_beam_search(cfg, params, enc, mask, bc) == diverse_beam_search(
-            cfg, params, enc, mask, bc
+        bc = ExperimentConfig(beam_size=10, num_groups=5, diversity_penalty=1.5)
+        assert diverse_beam_search(cfg, params, enc, mask, bc, 5) == diverse_beam_search(
+            cfg, params, enc, mask, bc, 5
         )
 
 
@@ -271,7 +272,7 @@ class TestDiverseBeamAgainstNaive:
         cfg = small_cfg(seed=seed, n_layers=int(rng.integers(1, 3)), max_output_len=max_len)
         params = init_params(cfg)
         enc, mask = encoded(cfg, params, ids=rng.integers(3, cfg.vocab_size, size=4))
-        bc = BeamConfig(
+        bc = ExperimentConfig(
             num_candidates=num_groups * group_width, beam_size=num_groups * group_width,
             num_groups=num_groups, diversity_penalty=penalty,
         )
@@ -279,7 +280,7 @@ class TestDiverseBeamAgainstNaive:
             lambda prefixes: teacher_forced_logp(cfg, params, enc, mask, prefixes),
             cfg.vocab_size, EOS, max_len, num_groups, group_width, penalty, bc.num_candidates,
         )
-        got = diverse_beam_search(cfg, params, enc, mask, bc)
+        got = diverse_beam_search(cfg, params, enc, mask, bc, bc.num_candidates)
         assert [h.ids for h in got] == [ids for ids, _ in want]
         for h, (_, score) in zip(got, want):
             assert h.raw_score == pytest.approx(score, rel=0, abs=1e-12)
@@ -298,11 +299,11 @@ class TestDiverseBeamAgainstNaive:
         params = init_params(cfg)
         n_in = int(rng.integers(2, 7))
         enc, mask = batch_inputs(rng, cfg, params, n_in, int(rng.integers(1, 6)), seed)
-        bc = BeamConfig(
+        bc = ExperimentConfig(
             num_candidates=num_groups * group_width, beam_size=num_groups * group_width,
             num_groups=num_groups, diversity_penalty=penalty,
         )
-        got = diverse_beam_search_many(cfg, params, enc, mask, bc)
+        got = diverse_beam_search_many(cfg, params, enc, mask, bc, bc.num_candidates)
         assert len(got) == n_in
         for e, hyps in enumerate(got):
             want = diverse_beam_naive(
@@ -331,9 +332,10 @@ def batch_inputs(rng, cfg, params, n_in, length, seed):
     return rng.normal(scale=3.0, size=(n_in, length, cfg.d_model)), mask
 
 
-def candidates_one_at_a_time(cfg, params, exs, bc=None):
+def candidates_one_at_a_time(cfg, params, exs, bc=BEAM):
     """Each example's candidates from a search of that example alone."""
-    return [generate_candidates_many(cfg, params, VOCAB, [ex], bc)[0] for ex in exs]
+    return [generate_candidates_many(cfg, params, VOCAB, [ex], bc, bc.num_candidates)[0]
+            for ex in exs]
 
 
 def bits(hyps):
@@ -364,11 +366,11 @@ class TestBatchedSearchIsExact:
                         max_output_len=int(rng.integers(2, 6)))
         params = init_params(cfg)
         num_groups, group_width = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        bc = BeamConfig(num_candidates=num_groups * group_width,
-                        beam_size=num_groups * group_width, num_groups=num_groups,
-                        diversity_penalty=(0.0, 1.5)[seed % 2])
+        bc = ExperimentConfig(num_candidates=num_groups * group_width,
+                              beam_size=num_groups * group_width, num_groups=num_groups,
+                              diversity_penalty=(0.0, 1.5)[seed % 2])
         exs = random_examples(rng, int(rng.integers(1, 9)), 8)
-        got = generate_candidates_many(cfg, params, VOCAB, exs, bc)
+        got = generate_candidates_many(cfg, params, VOCAB, exs, bc, bc.num_candidates)
         want = candidates_one_at_a_time(cfg, params, exs, bc)
         assert got == want
         assert [[c.score.hex() for c in cands] for cands in got] == [
@@ -381,7 +383,7 @@ class TestBatchedSearchIsExact:
         exs = random_examples(rng, 8, 7)
         lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
         assert len(lengths) >= 2
-        got = generate_candidates_many(cfg, params, VOCAB, exs)
+        got = generate_candidates_many(cfg, params, VOCAB, exs, BEAM, BEAM.num_candidates)
         assert got == candidates_one_at_a_time(cfg, params, exs)
 
     def test_bucket_larger_than_one_search(self, monkeypatch):
@@ -391,15 +393,16 @@ class TestBatchedSearchIsExact:
         cfg = small_cfg(max_input_len=3, max_output_len=4)
         params = init_params(cfg)
         exs = random_examples(rng, 2 * SEARCH_EXAMPLES + 5, 6)
-        bc = BeamConfig(num_candidates=4, beam_size=4, num_groups=2, diversity_penalty=1.5)
+        bc = ExperimentConfig(num_candidates=4, beam_size=4, num_groups=2, diversity_penalty=1.5)
         sizes = []
 
-        def spy(model_cfg, P, enc_states, enc_mask, cfg):
+        def spy(model_cfg, P, enc_states, enc_mask, cfg, num_candidates):
             sizes.append(len(enc_states))
-            return diverse_beam_search_many(model_cfg, P, enc_states, enc_mask, cfg)
+            return diverse_beam_search_many(model_cfg, P, enc_states, enc_mask, cfg,
+                                            num_candidates)
 
         monkeypatch.setattr(inference, "diverse_beam_search_many", spy)
-        got = generate_candidates_many(cfg, params, VOCAB, exs, bc)
+        got = generate_candidates_many(cfg, params, VOCAB, exs, bc, bc.num_candidates)
         assert sum(sizes) == len(exs) and max(sizes) == SEARCH_EXAMPLES
         lengths = {min(len(ex.text.split()) + 1, cfg.max_input_len) for ex in exs}
         assert len(sizes) > len(lengths)  # some bucket spans several searches
@@ -417,11 +420,13 @@ class TestBatchedSearchIsExact:
         params = init_params(cfg)
         n_in = int(rng.integers(1, 9))
         enc, mask = batch_inputs(rng, cfg, params, n_in, int(rng.integers(1, 6)), seed)
-        bc = BeamConfig(num_candidates=4, beam_size=4, num_groups=int(rng.choice([1, 2, 4])),
-                        diversity_penalty=(0.0, 2.5)[seed // 2 % 2])
-        got = diverse_beam_search_many(cfg, params, enc, mask, bc)
+        bc = ExperimentConfig(num_candidates=4, beam_size=4,
+                              num_groups=int(rng.choice([1, 2, 4])),
+                              diversity_penalty=(0.0, 2.5)[seed // 2 % 2])
+        got = diverse_beam_search_many(cfg, params, enc, mask, bc, bc.num_candidates)
         for e in range(n_in):
-            one = diverse_beam_search(cfg, params, enc[e : e + 1], mask[e : e + 1], bc)
+            one = diverse_beam_search(cfg, params, enc[e : e + 1], mask[e : e + 1], bc,
+                                      bc.num_candidates)
             assert bits(got[e]) == bits(one)
 
     def test_encoding_a_bucket_equals_encoding_each(self):
@@ -438,8 +443,8 @@ class TestBatchedSearchIsExact:
         cfg = small_cfg(seed=seed, max_input_len=6, max_output_len=int(rng.integers(2, 5)))
         params = init_params(cfg)
         exs = random_examples(rng, int(rng.integers(2, 9)), 7)
-        bc = BeamConfig(num_candidates=2, beam_size=4, num_groups=2,
-                        diversity_penalty=(0.0, 1.5)[seed % 2])
+        bc = ExperimentConfig(num_candidates=2, beam_size=4, num_groups=2,
+                              diversity_penalty=(0.0, 1.5)[seed % 2])
         probs, prompts = pada_predict_many(cfg, params, VOCAB, exs, bc)
         want_prompts = [generate_prompt(cfg, params, VOCAB, ex, bc) for ex in exs]
         assert prompts == want_prompts
@@ -483,15 +488,15 @@ class TestSettledInputsStop:
         num_groups, group_width = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         max_len = 5
         cfg = small_cfg(max_output_len=max_len)
-        bc = BeamConfig(num_candidates=int(rng.integers(1, 4)),
-                        beam_size=num_groups * group_width, num_groups=num_groups,
-                        diversity_penalty=(0.0, 0.5)[seed % 2])
+        bc = ExperimentConfig(num_candidates=int(rng.integers(1, 4)),
+                              beam_size=num_groups * group_width, num_groups=num_groups,
+                              diversity_penalty=(0.0, 0.5)[seed % 2])
         script = ScriptedDecoder(seed, cfg.vocab_size)
         monkeypatch.setattr(inference, "start_decoder", script.start)
         monkeypatch.setattr(inference, "advance_decoder", script.advance)
         n_in = 3
         got = diverse_beam_search_many(cfg, {}, np.zeros((n_in, 1, cfg.d_model)),
-                                       np.ones((n_in, 1)), bc)
+                                       np.ones((n_in, 1)), bc, bc.num_candidates)
         for e in range(n_in):
             want = diverse_beam_naive(
                 lambda prefixes: [script.logp(e, (BOS,) + p) for p in prefixes],
@@ -505,7 +510,7 @@ class TestSettledInputsStop:
         params = init_params(cfg)
         params["embed"][EOS] *= 40.0  # EOS outscores every other token
         enc, mask = encoded(cfg, params)
-        bc = BeamConfig(num_candidates=2, beam_size=4, num_groups=2, diversity_penalty=0.5)
+        bc = ExperimentConfig(num_candidates=2, beam_size=4, num_groups=2, diversity_penalty=0.5)
         calls = []
 
         def counted(*args):
@@ -513,7 +518,7 @@ class TestSettledInputsStop:
             return advance_decoder(*args)
 
         monkeypatch.setattr(inference, "advance_decoder", counted)
-        got = diverse_beam_search(cfg, params, enc, mask, bc)
+        got = diverse_beam_search(cfg, params, enc, mask, bc, bc.num_candidates)
         assert len(calls) < cfg.max_output_len
         want = diverse_beam_naive(
             lambda prefixes: teacher_forced_logp(cfg, params, enc, mask, prefixes),
@@ -530,14 +535,13 @@ class TestPredictSearchesForTheBestOnly:
     scores and probabilities are bit for bit those of the best of a
     full five-candidate search followed by classification."""
 
-    BEAM = BeamConfig()  # five candidates, as ExperimentConfig has by default
-
     def full_search_then_classify(self, cfg, params, exs):
-        best = [cands[0] for cands in generate_candidates_many(cfg, params, VOCAB, exs, self.BEAM)]
+        best = [cands[0] for cands in generate_candidates_many(cfg, params, VOCAB, exs, BEAM,
+                                                               BEAM.num_candidates)]
         return classify_many(cfg, params, VOCAB, exs, prompts=[p.prompt_ids for p in best]), best
 
     def check(self, cfg, params, exs):
-        probs, prompts = pada_predict_many(cfg, params, VOCAB, exs, self.BEAM)
+        probs, prompts = pada_predict_many(cfg, params, VOCAB, exs, BEAM)
         want_probs, want = self.full_search_then_classify(cfg, params, exs)
         assert probs.tobytes() == want_probs.tobytes()
         assert [(p.ids, p.tokens, p.score.hex(), p.used_fallback) for p in prompts] == [
@@ -584,7 +588,7 @@ class TestPredictSearchesForTheBestOnly:
             return advance_decoder(*args)
 
         monkeypatch.setattr(inference, "advance_decoder", counted)
-        pada_predict_many(cfg, params, VOCAB, exs, self.BEAM)
+        pada_predict_many(cfg, params, VOCAB, exs, BEAM)
         best_only = len(calls)
         self.full_search_then_classify(cfg, params, exs)
         assert 0 < best_only < len(calls) - best_only
@@ -607,8 +611,8 @@ class TestGenerateAndPredict:
         self.ex = Example(id="e0", text="alpha beta", label="pos", domain="d")
 
     def test_candidate_list_shape(self):
-        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex])
-        assert len(cands) == BeamConfig().num_candidates
+        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex], BEAM, 5)
+        assert len(cands) == BEAM.num_candidates
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
         for c in cands:
@@ -616,15 +620,15 @@ class TestGenerateAndPredict:
             assert c.tokens == tuple(VOCAB.id_to_token[i] for i in c.ids[:-1])
 
     def test_generate_prompt_is_the_best_candidate(self):
-        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex])
-        assert generate_prompt(self.cfg, self.params, VOCAB, self.ex) == cands[0]
+        [cands] = generate_candidates_many(self.cfg, self.params, VOCAB, [self.ex], BEAM, 5)
+        assert generate_prompt(self.cfg, self.params, VOCAB, self.ex, BEAM) == cands[0]
 
     def test_bare_eos_best_candidate_falls_back(self):
         # Force the degenerate decode with a one-token horizon: the only
         # possible hypothesis is bare EOS.
-        bc = BeamConfig(num_candidates=1, beam_size=1, num_groups=1)
+        bc = ExperimentConfig(num_candidates=1, beam_size=1, num_groups=1)
         [cands] = generate_candidates_many(
-            replace(self.cfg, max_output_len=1), self.params, VOCAB, [self.ex], bc)
+            replace(self.cfg, max_output_len=1), self.params, VOCAB, [self.ex], bc, 1)
         assert cands[0].used_fallback
         assert cands[0].ids == (UNK, EOS)
         assert cands[0].prompt_ids == (UNK,)
@@ -641,14 +645,14 @@ class TestGenerateAndPredict:
         assert (probs >= 0).all()
 
     def test_empty_batch(self):
-        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [], BeamConfig())
+        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [], BEAM)
         assert probs.shape == (0, 2) and prompts == []
         assert classify_many(self.cfg, self.params, VOCAB, []).shape == (0, 2)
-        assert generate_candidates_many(self.cfg, self.params, VOCAB, []) == []
+        assert generate_candidates_many(self.cfg, self.params, VOCAB, [], BEAM, 5) == []
 
     def test_predict_combines_both_steps(self):
-        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [self.ex], BeamConfig())
-        prompt = generate_prompt(self.cfg, self.params, VOCAB, self.ex)
+        probs, prompts = pada_predict_many(self.cfg, self.params, VOCAB, [self.ex], BEAM)
+        prompt = generate_prompt(self.cfg, self.params, VOCAB, self.ex, BEAM)
         assert prompts == [prompt]
         want = classify_many(self.cfg, self.params, VOCAB, [self.ex], prompts=[prompt.prompt_ids])
         assert np.array_equal(probs, want)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pada_lab.corpus import BOS, EOS, PAD
+from pada_lab.harness import ExperimentConfig
 from pada_lab.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -30,7 +31,7 @@ from pada_lab.model import (
     save_checkpoint,
     start_decoder,
 )
-from pada_lab.training import AdamState, TaskInstance, TrainConfig, adam_step
+from pada_lab.training import AdamState, TaskInstance, adam_step
 from tests import oracles
 from tests.conftest import edit_checkpoint_header
 
@@ -93,7 +94,7 @@ class TestInitParams:
         save_checkpoint(tmp_path / "model.bin", cfg, p)
         _, loaded = load_checkpoint(tmp_path / "model.bin")
         grads = {"embed": np.random.default_rng(0).normal(size=p["embed"].shape)}
-        step_cfg = TrainConfig(lr=0.1)
+        step_cfg = ExperimentConfig(lr=0.1)
         stepped, state = adam_step(p, grads, AdamState(), 1, step_cfg, 10, 0)
         coasted, _ = adam_step(stepped, {}, state, 2, step_cfg, 10, 0)
         assert not np.array_equal(stepped["embed"], p["embed"])  # gradient update
@@ -528,7 +529,7 @@ class TestStepMemory:
     path copies the parameters, and encode keeps no backward cache, so
     neither peaks far above that."""
 
-    cfg = ModelConfig(vocab_size=68, n_classes=2, max_output_len=16)
+    cfg = ExperimentConfig().model_config(vocab_size=68, n_classes=2)
 
     def batch(self, task):
         rng = np.random.default_rng(0)

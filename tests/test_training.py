@@ -16,7 +16,6 @@ from pada_lab.training import (
     ADAM_EPS,
     AdamState,
     TaskInstance,
-    TrainConfig,
     adam_step,
     build_disc_input,
     gold_prompt_ids,
@@ -47,6 +46,9 @@ def ex(text="delta flow mud", label="pos", eid="e0"):
 
 
 class TestTrainConfig:
+    """The optimization settings' range checks, which `ExperimentConfig`
+    makes; each message names its setting."""
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -60,11 +62,11 @@ class TestTrainConfig:
         ],
     )
     def test_invalid_values_rejected(self, kw):
-        with pytest.raises(ValueError):
-            TrainConfig(**kw)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            ExperimentConfig(**kw)
 
     def test_defaults_accepted(self):
-        TrainConfig()
+        ExperimentConfig()
 
 
 class TestTaskInstance:
@@ -255,7 +257,7 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        cfg = TrainConfig(lr=0.1)
+        cfg = ExperimentConfig(lr=0.1)
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.array([0.5, -0.25])}
         new, _ = adam_step(params, grads, AdamState(), 1, cfg, 10**9, 0)
@@ -266,14 +268,14 @@ class TestAdam:
         assert np.allclose(new["w"], want, atol=1e-9)
 
     def test_dtype_preserved(self):
-        cfg = TrainConfig(lr=0.1)
+        cfg = ExperimentConfig(lr=0.1)
         params = {"w": np.ones(3, dtype=np.float32)}
         grads = {"w": np.full(3, 0.5)}
         new, _ = adam_step(params, grads, AdamState(), 1, cfg, 10**9, 0)
         assert new["w"].dtype == np.float32
 
     def test_quadratic_converges(self):
-        cfg = TrainConfig(lr=0.05)
+        cfg = ExperimentConfig(lr=0.05)
         params = {"w": np.array([3.0, -4.0])}
         state = AdamState()
         for step in range(1, 400):
@@ -283,7 +285,7 @@ class TestAdam:
 
     def test_bitwise_equal_to_out_of_place_formula(self):
         rng = np.random.default_rng(0)
-        cfg = TrainConfig(lr=0.01)
+        cfg = ExperimentConfig(lr=0.01)
         shapes = {"a.w": (3, 4), "b": (5,), "c.w": (2, 3, 2), "s": ()}
         params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
         want, ms, vs = dict(params), {}, {}
@@ -310,7 +312,7 @@ class TestAdam:
         # "dec" gets all-zero gradients (both signs of zero) for six
         # steps, then real ones; "enc" gets real ones throughout
         rng = np.random.default_rng(1)
-        cfg = TrainConfig(lr=0.01)
+        cfg = ExperimentConfig(lr=0.01)
         dec = rng.normal(size=(3, 4)).astype(np.float32)
         dec[0, :2] = [0.0, -0.0]
         params = {"enc": rng.normal(size=5).astype(np.float32), "dec": dec}
@@ -338,7 +340,7 @@ class TestAdam:
         # for four, then none again for four with state; the oracle gets
         # explicit zeros wherever "dec" has no gradient
         rng = np.random.default_rng(2)
-        cfg = TrainConfig(lr=0.01)
+        cfg = ExperimentConfig(lr=0.01)
         params = {"enc": rng.normal(size=5).astype(np.float32),
                   "dec": rng.normal(size=(3, 4)).astype(np.float32)}
         want, ms, vs = dict(params), {}, {}
@@ -364,7 +366,7 @@ class TestAdam:
             params = new
 
     def test_non_finite_gradient_names_the_tensor(self):
-        cfg = TrainConfig()
+        cfg = ExperimentConfig()
         params = {"bad.w": np.ones(2)}
         grads = {"bad.w": np.array([1.0, np.nan])}
         with pytest.raises(ValueError, match="bad.w"):
@@ -374,7 +376,7 @@ class TestAdam:
 def tiny_model():
     return ModelConfig(
         vocab_size=len(VOCAB), n_classes=2, d_model=8, n_layers=1, n_heads=2,
-        d_ffn=8, max_input_len=24, max_output_len=8, conv_filters=3, conv_width=3,
+        d_ffn=8, max_input_len=24, max_output_len=8, conv_filters=3, conv_width=3, seed=0,
     )
 
 
@@ -387,7 +389,7 @@ class TestTrainLoop:
             seen.append({k: v.copy() for k, v in params.items()})
             return next(scripted)
 
-        cfg = TrainConfig(
+        cfg = ExperimentConfig(
             alpha=alpha, epochs=epochs or len(evals), batch_size=4,
             lr=1e-3, patience=patience, seed=11,
         )
@@ -474,13 +476,13 @@ class TestTrainLoop:
                 (Example(id=f"e{i}", text=f"{word} flow mud", label=label, domain="rivers"),
                  None)
             )
-        cfg = TrainConfig(alpha=0.0, epochs=8, batch_size=4, lr=5e-3, patience=99, seed=0)
+        cfg = ExperimentConfig(alpha=0.0, epochs=8, batch_size=4, lr=5e-3, patience=99, seed=0)
         result = train(tiny_model(), VOCAB, LABELS, pairs, cfg, lambda p: 0.0)
         assert result.log[-1]["disc_loss"] < result.log[0]["disc_loss"]
 
     def test_no_examples_rejected(self):
         with pytest.raises(ValueError, match="examples"):
-            train(tiny_model(), VOCAB, LABELS, [], TrainConfig(), lambda p: 0.0)
+            train(tiny_model(), VOCAB, LABELS, [], ExperimentConfig(), lambda p: 0.0)
 
     @pytest.mark.parametrize("no_mallopt", ["libc fails to load", "libc has no mallopt"])
     def test_trains_alike_without_mallopt(self, no_mallopt, monkeypatch):
@@ -521,7 +523,7 @@ def test_warm_steps_reuse_the_heap():
     art = build_artifacts(dataset, dataset.domains, cfg)
     pairs = [(e, art.annotations[(d, e.id)]) for d in dataset.domains for e in dataset.train[d]]
     model_cfg = cfg.model_config(len(art.vocab), len(dataset.label_set))
-    train_cfg = replace(cfg.train_config(), epochs=1)
+    train_cfg = replace(cfg, epochs=1)
     train(model_cfg, art.vocab, dataset.label_set, pairs[:16], train_cfg, lambda p: 0.0)
 
     instances = mix_tasks(pairs, 0.5, np.random.default_rng(0), art.vocab, dataset.label_set,
